@@ -162,7 +162,7 @@ def _cmd_replay(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read script: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -141,9 +141,6 @@ class KirbyScript:
             "annotations": list(self.annotations),
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=1)
-
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -258,14 +255,13 @@ def apply_move(link: FramedLink, move: KirbyMove) -> FramedLink:
     raise TypeError(f"unknown move {move!r}")
 
 
-def replay(script: KirbyScript, keep_states: bool = True) -> ReplayTrace:
+def replay(script: KirbyScript) -> ReplayTrace:
     """Apply the moves in order, recording matrix, determinant and legality.
 
-    Each trace step holds the post-move state (unless ``keep_states`` is
-    off), its exact determinant, and a legality flag.  Raises StepIllegal on
-    the first illegal move and FinalMismatch when the final state differs
-    from ``expect`` (labels in order, matrices entrywise).  Both exceptions
-    carry the partial trace.
+    Each trace step holds the post-move state, its exact determinant, and a
+    legality flag.  Raises StepIllegal on the first illegal move and
+    FinalMismatch when the final state differs from ``expect`` (labels in
+    order, matrices entrywise).  Both exceptions carry the partial trace.
     """
     state = script.initial
     steps: list[TraceStep] = []
@@ -276,13 +272,7 @@ def replay(script: KirbyScript, keep_states: bool = True) -> ReplayTrace:
             steps.append(TraceStep(idx + 1, move.describe(), determinant(state.matrix), False))
             raise StepIllegal(idx, str(exc), trace=tuple(steps)) from exc
         steps.append(
-            TraceStep(
-                idx + 1,
-                move.describe(),
-                determinant(state.matrix),
-                True,
-                state if keep_states else None,
-            )
+            TraceStep(idx + 1, move.describe(), determinant(state.matrix), True, state)
         )
     if state.labels != script.expect.labels or state.matrix != script.expect.matrix:
         diff = _diff_links(script.expect, state)
@@ -307,14 +297,14 @@ def _diff_links(expect: FramedLink, got: FramedLink) -> str:
 
 
 def script_to_json(script: KirbyScript) -> str:
-    return script.dumps()
+    return json.dumps(script.to_json_obj(), indent=1)
 
 
 def script_from_json(text: str) -> KirbyScript:
     """Parse the script wire format; raises ScriptFormatError on any defect."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also int-digit limit, deep nesting
         raise ScriptFormatError(f"invalid JSON: {exc}") from exc
     def strict_int(v):
         if isinstance(v, bool) or not isinstance(v, int):

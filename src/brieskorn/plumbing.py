@@ -5,9 +5,12 @@ weight b and one leg per exceptional fiber, the leg for (alpha, beta) carrying
 weights -c1, ..., -ck where alpha/beta = c1 - 1/(c2 - 1/(... - 1/ck)) is the
 negative (Hirzebruch-Jung) continued fraction, all ci >= 2.
 
-Everything here is exact: determinants by fraction-free elimination (with an
-integer tree recursion for forest-shaped matrices), inertia by Sylvester-style
-symmetric elimination over rationals.  No floating point.
+Everything here is exact; no floating point.  On forest-shaped forms, which
+include every plumbing, one leaf-first integer pass (`tree_invariants`) gives
+the determinant, the inertia and the spherical Wu class together; a plumbing
+graph goes straight to it from its weights and edges.  Other matrices take the
+general path: fraction-free (Bareiss) determinants and symmetric elimination
+over the rationals for inertia, with the dense GF(2) Wu solver in `wu`.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InvalidFraction, NotStarShaped, SingularMatrix
 from .seifert import BrieskornTriple, SeifertData, seifert_invariants
@@ -52,10 +56,6 @@ class IntMatrix:
 
     def rows(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
 
 @dataclass(frozen=True)
@@ -222,81 +222,163 @@ def graph_to_seifert(g: PlumbingGraph) -> SeifertData:
 
 
 def _forest_structure(m: IntMatrix):
-    """Adjacency lists of the nonzero off-diagonal graph, or None if cyclic."""
-    n = m.n
-    adj = [[] for _ in range(n)]
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m.entries[i][j] != 0:
-                adj[i].append(j)
-                adj[j].append(i)
-                count += 1
-    # a forest has < n edges; verify acyclicity by leaf stripping
-    if count >= n and n > 0:
-        return None
-    deg = [len(a) for a in adj]
-    order = [i for i in range(n) if deg[i] <= 1]
-    removed = [False] * n
-    seen = 0
-    idx = 0
-    while idx < len(order):
-        v = order[idx]
-        idx += 1
-        if removed[v]:
-            continue
-        removed[v] = True
-        seen += 1
-        for u in adj[v]:
-            if not removed[u]:
-                deg[u] -= 1
-                if deg[u] <= 1:
-                    order.append(u)
-    return adj if seen == n else None
+    """(diagonal, weighted adjacency) of a forest-shaped matrix, else None.
 
-
-def _forest_determinant(m: IntMatrix, adj) -> int:
-    """Exact determinant of a forest-shaped symmetric matrix, O(n).
-
-    For a rooted tree let D(v) = det of the subtree at v and E(v) = det of
-    that subtree with v deleted; then with children c_i and edge values a_i:
-        D(v) = w_v * prod D(c_i) - sum a_i^2 * E(c_i) * prod_{j != i} D(c_j)
-        E(v) = prod D(c_i)
+    Matrices of at most 8 rows return None as well: there the dense routines
+    cost less than this scan.  ``adj[i]`` lists ``(j, m[i][j])`` for the
+    nonzero off-diagonal entries of row i.
     """
     n = m.n
-    visited = [False] * n
-    det = 1
+    if n <= 8:
+        return None
+    adj = [[] for _ in range(n)]
+    tree_of = list(range(n))  # union-find; an edge inside one tree is a cycle
+
+    def find(x: int) -> int:
+        while tree_of[x] != x:
+            tree_of[x] = tree_of[tree_of[x]]
+            x = tree_of[x]
+        return x
+
+    for i in range(n):
+        row = m.entries[i]
+        for j in range(i + 1, n):
+            if row[j] != 0:
+                ti, tj = find(i), find(j)
+                if ti == tj:
+                    return None
+                tree_of[ti] = tj
+                adj[i].append((j, row[j]))
+                adj[j].append((i, row[j]))
+    return [row[i] for i, row in enumerate(m.entries)], adj
+
+
+def _eliminate(diag, adj):
+    """Leaf-first elimination of a forest: yields (v, parent, edge, D, E).
+
+    Each tree is rooted at its lowest vertex (parent -1) and every vertex
+    comes after all of its children.  D is the determinant of the subtree at
+    v and E that of the subtree with v deleted; with children c and edge
+    values a_c,
+        D(v) = w_v * prod D(c) - sum_c a_c^2 * E(c) * prod_{c' != c} D(c')
+        E(v) = prod D(c)
+    so D/E = w_v - sum_c a_c^2 * E(c)/D(c) is the pivot of v.
+    """
+    n = len(diag)
+    d = list(diag)
+    e = [1] * n
+    parent = [-1] * n
+    edge = [0] * n
+    seen = [False] * n
     for root in range(n):
-        if visited[root]:
+        if seen[root]:
             continue
-        # iterative post-order
-        stack = [(root, -1, False)]
-        dvals = {}
-        evals = {}
-        while stack:
-            v, parent, processed = stack.pop()
-            if not processed:
-                visited[v] = True
-                stack.append((v, parent, True))
-                for u in adj[v]:
-                    if u != parent:
-                        stack.append((u, v, False))
-                continue
-            children = [u for u in adj[v] if u != parent]
-            prod = 1
-            for c in children:
-                prod *= dvals[c]
-            dv = m.entries[v][v] * prod
-            for i, c in enumerate(children):
-                others = 1
-                for j, c2 in enumerate(children):
-                    if j != i:
-                        others *= dvals[c2]
-                dv -= m.entries[v][c] ** 2 * evals[c] * others
-            dvals[v] = dv
-            evals[v] = prod
-        det *= dvals[root]
-    return det
+        seen[root] = True
+        order = [root]
+        for v in order:  # breadth first; grows while it is walked
+            for u, a in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    parent[u], edge[u] = v, a
+                    order.append(u)
+        for v in reversed(order):
+            p = parent[v]
+            yield v, p, edge[v], d[v], e[v]
+            if p >= 0:
+                d[p] = d[p] * d[v] - edge[v] ** 2 * e[v] * e[p]
+                e[p] *= d[v]
+
+
+class Invariants(NamedTuple):
+    """det, inertia and spherical Wu class of a symmetric integer form.
+
+    ``wu`` is the 0/1 solution of A w = diag(A) (mod 2); None iff det is even.
+    A NamedTuple, not a frozen dataclass, because the class is built at
+    import: the dataclass costs about 1 ms more there.
+    """
+
+    det: int
+    n_plus: int
+    n_minus: int
+    n_zero: int
+    wu: tuple[int, ...] | None
+
+    @property
+    def negative_definite(self) -> bool:
+        return self.n_plus == self.n_zero == 0
+
+
+def tree_invariants(diag, adj) -> Invariants:
+    """All of Invariants for a forest in one leaf-first integer pass.
+
+    Inertia: the pivots D/E are the diagonal of a congruent matrix, so their
+    signs count n_plus and n_minus (Sylvester); a zero D at a root adds to
+    n_zero.  A zero D below a root leaves no pivot for its parent; then the
+    inertia alone comes from the general `_sylvester_inertia`.
+
+    Wu class: the same order solves A w = diag(A) over GF(2).  The reduced
+    right-hand side of a vertex always equals its reduced diagonal bit.  An
+    odd vertex is w_v = 1 + a*w_parent, which flips its parent's bit.  An
+    even vertex forces its parent to 0, and the parent's row then gives the
+    even vertex (W. Neumann, LNM 788, 1980).
+    """
+    n = len(diag)
+    det = 1
+    n_plus = n_minus = n_zero = 0
+    general_inertia = False
+    bit = [w & 1 for w in diag]
+    pinned = [-1] * n  # the even child that forces a vertex to 0
+    order = []
+    solvable = True
+    for v, p, a, dv, ev in _eliminate(diag, adj):
+        a &= 1  # 0 at a root, so the uses of p = -1 below change nothing
+        order.append((v, p, a))
+        if p < 0:
+            det *= dv
+        if dv == 0:
+            if p < 0:
+                n_zero += 1
+            else:
+                general_inertia = True
+        elif (dv > 0) == (ev > 0):
+            n_plus += 1
+        else:
+            n_minus += 1
+        if pinned[v] >= 0:
+            continue
+        if bit[v]:
+            bit[p] ^= a
+        elif a and pinned[p] < 0:
+            pinned[p] = v
+        else:  # a zero row, or two rows equal to e_parent: singular mod 2
+            solvable = False
+    assert solvable == (det % 2 == 1), "GF(2) pass disagrees with det parity"
+    wu = None
+    if solvable:
+        w = [0] * n
+        for v, p, a in reversed(order):
+            if pinned[v] >= 0:
+                w[pinned[v]] = bit[v] ^ (a & w[p])
+            elif bit[v]:
+                w[v] = 1 ^ (a & w[p])
+        wu = tuple(w)
+    if general_inertia:
+        rows = [[0] * n for _ in range(n)]
+        for v in range(n):
+            rows[v][v] = diag[v]
+            for u, x in adj[v]:
+                rows[v][u] = x
+        n_plus, n_minus, n_zero = _sylvester_inertia(IntMatrix.from_rows(rows))
+    return Invariants(det, n_plus, n_minus, n_zero, wu)
+
+
+def graph_invariants(g: PlumbingGraph) -> Invariants:
+    """`tree_invariants` of the plumbing, read off its weights and edges."""
+    adj = [[] for _ in g.weights]
+    for i, j in g.edges:
+        adj[i].append((j, 1))
+        adj[j].append((i, 1))
+    return tree_invariants(g.weights, adj)
 
 
 def _bareiss_determinant(m: IntMatrix) -> int:
@@ -328,15 +410,27 @@ def _bareiss_determinant(m: IntMatrix) -> int:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant; linear-time on forest-shaped matrices."""
-    if m.n > 8:
-        adj = _forest_structure(m)
-        if adj is not None:
-            return _forest_determinant(m, adj)
-    return _bareiss_determinant(m)
+    """Exact determinant; the D/E recursion alone on forest-shaped matrices."""
+    forest = _forest_structure(m)
+    if forest is None:
+        return _bareiss_determinant(m)
+    det = 1
+    for _, parent, _, d, _ in _eliminate(*forest):
+        if parent < 0:
+            det *= d
+    return det
 
 
 def inertia(m: IntMatrix) -> tuple[int, int, int]:
+    """(n_plus, n_minus, n_zero); `tree_invariants` on forest-shaped matrices."""
+    forest = _forest_structure(m)
+    if forest is None:
+        return _sylvester_inertia(m)
+    inv = tree_invariants(*forest)
+    return inv.n_plus, inv.n_minus, inv.n_zero
+
+
+def _sylvester_inertia(m: IntMatrix) -> tuple[int, int, int]:
     """(n_plus, n_minus, n_zero) by symmetric elimination over rationals.
 
     Sylvester's law: congruence preserves inertia, and each elimination step

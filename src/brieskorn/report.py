@@ -16,15 +16,9 @@ from importlib import resources
 from . import kirby
 from .casson import casson_brieskorn
 from .errors import BrieskornError
-from .plumbing import (
-    brieskorn_plumbing,
-    determinant,
-    intersection_matrix,
-    is_negative_definite,
-    signature,
-)
-from .seifert import FAMILIES, BrieskornTriple, UnknownFamily, seifert_invariants
-from .wu import mubar, wu_class, wu_square
+from .plumbing import Invariants, PlumbingGraph, brieskorn_plumbing, graph_invariants
+from .seifert import FAMILIES, BrieskornTriple, UnknownFamily
+from .wu import characteristic_numbers, mubar_of
 
 CSV_HEADER = "family,n,p,q,r,vertices,det,neg_def,signature,wu_square,mubar,pass"
 
@@ -196,20 +190,14 @@ def build_report(family_id: str, n: int, replay_script: bool = False) -> Verific
         raise UnknownFamily(family_id)
     triple = spec.triple_of(n)
     graph = brieskorn_plumbing(triple)
-    m = intersection_matrix(graph)
-    det = determinant(m)
-    neg_def = is_negative_definite(m)
-    sig = signature(m)
-    # computed directly (not via wu.mubar) so that a hypothetical failure of
-    # the unimodularity/definiteness claims is reported instead of raised
-    w = wu_class(m)
-    w2 = wu_square(m, w)
-    assert (sig - w2) % 8 == 0
-    mu_value = (sig - w2) // 8
+    inv = _seifert_checked_invariants(graph)
+    # not via wu.mubar_of, so that a failure of the unimodularity or
+    # definiteness claims is reported instead of raised
+    sig, w2, mu_value = characteristic_numbers(graph, inv)
     computed = {
         "vertex_count": graph.vertex_count,
-        "determinant": det,
-        "negative_definite": neg_def,
+        "determinant": inv.det,
+        "negative_definite": inv.negative_definite,
         "signature": sig,
         "wu_square": w2,
         "mubar": mu_value,
@@ -238,8 +226,8 @@ def build_report(family_id: str, n: int, replay_script: bool = False) -> Verific
         n=n,
         triple=triple.components,
         vertex_count=graph.vertex_count,
-        determinant=det,
-        negative_definite=neg_def,
+        determinant=inv.det,
+        negative_definite=inv.negative_definite,
         signature=sig,
         wu_square=w2,
         mubar=mu_value,
@@ -247,6 +235,21 @@ def build_report(family_id: str, n: int, replay_script: bool = False) -> Verific
         claims_checked=tuple(checks),
         script_replayed=replayed,
     )
+
+
+def _seifert_checked_invariants(graph: PlumbingGraph) -> Invariants:
+    """`graph_invariants`, cross-checked against the Seifert side.
+
+    With e = b + sum beta_i/alpha_i, the star plumbing is negative definite
+    iff e < 0, and |det| = alpha_1*alpha_2*alpha_3*|e| (Neumann-Raymond 1978).
+    """
+    inv = graph_invariants(graph)
+    _, s = graph.origin
+    e = s.euler_number
+    (a1, _), (a2, _), (a3, _) = s.legs
+    assert inv.negative_definite == (e < 0), "definiteness disagrees with e"
+    assert abs(inv.det) == a1 * a2 * a3 * abs(e), "|det| disagrees with e"
+    return inv
 
 
 def family_sweep(family_id: str, n_from: int, n_to: int, replay_script: bool = False):
@@ -277,19 +280,19 @@ def triple_summary(t: BrieskornTriple, with_casson: bool) -> dict:
             "casson": 0,  # S^3; the empty lattice count costs nothing
         }
         return obj
-    s = seifert_invariants(t)
     graph = brieskorn_plumbing(t)
-    m = intersection_matrix(graph)
-    mu = mubar(graph)
+    _, s = graph.origin
+    inv = _seifert_checked_invariants(graph)
+    mu = mubar_of(graph, inv)
     obj = {
         "triple": list(t.components),
         "degenerate": False,
         "seifert": {"b": s.b, "legs": [list(leg) for leg in s.legs]},
         "plumbing": graph.to_json_obj(),
-        "determinant": determinant(m),
+        "determinant": inv.det,
         "signature": mu.signature,
-        "negative_definite": is_negative_definite(m),
-        "wu_class": list(wu_class(m).coords),
+        "negative_definite": inv.negative_definite,
+        "wu_class": list(inv.wu),
         "wu_square": mu.wu_square,
         "mubar": mu.mubar,
         "obstructed": mu.obstructed,

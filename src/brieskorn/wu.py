@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EvenDeterminant, NotNegativeDefinite, NotUnimodular
+from .errors import EvenDeterminant, NotNegativeDefinite, NotUnimodular, SingularMatrix
 from .plumbing import (
     IntMatrix,
+    Invariants,
     PlumbingGraph,
-    determinant,
-    intersection_matrix,
-    is_negative_definite,
+    _forest_structure,
+    graph_invariants,
+    tree_invariants,
 )
 
 
@@ -48,10 +49,23 @@ class MubarResult:
 
 
 def wu_class(m: IntMatrix) -> WuClass:
-    """Unique {0,1} solution of A w = diag(A) mod 2, by GF(2) elimination.
+    """Unique {0,1} solution of A w = diag(A) mod 2.  Requires det(A) odd.
+
+    Forest-shaped matrices go through `tree_invariants`, others through
+    dense GF(2) elimination.
+    """
+    forest = _forest_structure(m)
+    coords = _gf2_wu(m) if forest is None else tree_invariants(*forest).wu
+    if coords is None:
+        raise EvenDeterminant("intersection form is singular over GF(2)")
+    return WuClass(coords)
+
+
+def _gf2_wu(m: IntMatrix) -> tuple[int, ...] | None:
+    """Dense GF(2) elimination; None when the form is singular mod 2.
 
     Rows are kept as bitmasks; pivoting picks the first row with a 1 in the
-    current column, so the run is deterministic.  Requires det(A) odd.
+    current column, so the run is deterministic.
     """
     n = m.n
     rows = []
@@ -71,7 +85,7 @@ def wu_class(m: IntMatrix) -> WuClass:
                 sel = i
                 break
         if sel is None:
-            raise EvenDeterminant("intersection form is singular over GF(2)")
+            return None
         rows[r], rows[sel] = rows[sel], rows[r]
         for i in range(n):
             if i != r and rows[i] >> col & 1:
@@ -81,7 +95,7 @@ def wu_class(m: IntMatrix) -> WuClass:
     w = [0] * n
     for i, col in enumerate(pivots):
         w[col] = rows[i] >> n & 1
-    return WuClass(tuple(w))
+    return tuple(w)
 
 
 def wu_square(m: IntMatrix, w: WuClass) -> int:
@@ -95,24 +109,41 @@ def wu_square(m: IntMatrix, w: WuClass) -> int:
     return total
 
 
+def characteristic_numbers(g: PlumbingGraph, inv: Invariants) -> tuple[int, int, int]:
+    """(signature, wu_square, mubar) of a plumbing from its invariant record.
+
+    wu_square is the weight sum over the Wu support plus 2 per edge inside
+    it.  Nothing here checks definiteness or unimodularity.
+    """
+    if inv.n_zero:
+        raise SingularMatrix("matrix is singular")
+    if inv.wu is None:
+        raise EvenDeterminant("intersection form is singular over GF(2)")
+    w = inv.wu
+    sig = inv.n_plus - inv.n_minus
+    w2 = sum(x for x, c in zip(g.weights, w) if c)
+    w2 += 2 * sum(w[i] & w[j] for i, j in g.edges)
+    assert (sig - w2) % 8 == 0, "van der Blij violated: implementation bug"
+    return sig, w2, (sig - w2) // 8
+
+
+def mubar_of(g: PlumbingGraph, inv: Invariants) -> MubarResult:
+    """`mubar` for a plumbing whose invariant record is already at hand."""
+    if inv.det not in (1, -1):
+        raise NotUnimodular(f"|det| = {abs(inv.det)}")
+    if not inv.negative_definite:
+        raise NotNegativeDefinite("plumbing form is not negative definite")
+    sig, w2, mu = characteristic_numbers(g, inv)
+    return MubarResult(signature=sig, wu_square=w2, mubar=mu, obstructed=mu != 0)
+
+
 def mubar(g: PlumbingGraph) -> MubarResult:
     """Neumann-Siebenmann invariant of a negative-definite unimodular plumbing.
 
     (signature - wu_square)/8 with everything computed in the plumbing basis.
     Refuses indefinite or non-unimodular input instead of extrapolating.
     """
-    m = intersection_matrix(g)
-    det = determinant(m)
-    if det not in (1, -1):
-        raise NotUnimodular(f"|det| = {abs(det)}")
-    if not is_negative_definite(m):
-        raise NotNegativeDefinite("plumbing form is not negative definite")
-    sig = -m.n
-    w = wu_class(m)
-    w2 = wu_square(m, w)
-    assert (sig - w2) % 8 == 0, "van der Blij violated: implementation bug"
-    mu = (sig - w2) // 8
-    return MubarResult(signature=sig, wu_square=w2, mubar=mu, obstructed=mu != 0)
+    return mubar_of(g, graph_invariants(g))
 
 
 def obstructs_integral_ball(r: MubarResult) -> bool:

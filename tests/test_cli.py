@@ -165,6 +165,27 @@ class TestReplay:
         code, _, err = run(capsys, "replay", "/nonexistent/path.json")
         assert code == 3
 
+    def test_non_utf8_file_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'\xff\xfe{"name": "x"}')
+        code, _, err = run(capsys, "replay", str(path))
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deeply_nested_json_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(capsys, "replay", str(path))
+        assert code == 3
+        assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
+    def test_huge_integer_literal_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text('{"name": ' + "9" * 5000 + "}")
+        code, _, err = run(capsys, "replay", str(path))
+        assert code == 3
+        assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
 
 class TestGenScript:
     def test_unsupported_family_exit_2(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brieskorn import (
@@ -23,8 +23,22 @@ from brieskorn import (
     star_plumbing,
     validate_triple,
 )
-from brieskorn.errors import InvalidFraction, NotStarShaped, SingularMatrix
-from brieskorn.plumbing import inertia
+from brieskorn.errors import (
+    EvenDeterminant,
+    InvalidFraction,
+    NotNegativeDefinite,
+    NotStarShaped,
+    NotUnimodular,
+    SingularMatrix,
+)
+from brieskorn.plumbing import (
+    _bareiss_determinant,
+    _forest_structure,
+    _sylvester_inertia,
+    inertia,
+    tree_invariants,
+)
+from brieskorn.wu import WuClass, _gf2_wu, mubar, wu_class, wu_square
 
 
 def cf_fold(cs):
@@ -253,6 +267,96 @@ def sign_changes(coeffs):
     # Descartes count on p(x): all real roots, so changes = positive roots
     signs = [c for c in coeffs if c != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+
+def chain(weights, edge=1):
+    n = len(weights)
+    rows = [[0] * n for _ in range(n)]
+    for i, w in enumerate(weights):
+        rows[i][i] = w
+        if i:
+            rows[i - 1][i] = rows[i][i - 1] = edge
+    return IntMatrix.from_rows(rows)
+
+
+@st.composite
+def weighted_forests(draw):
+    """Random forest-shaped matrices: weights -6..3, edge values +-1/+-2."""
+    n = draw(st.integers(0, 16))
+    rows = [[0] * n for _ in range(n)]
+    for v in range(n):
+        rows[v][v] = draw(st.integers(-6, 3))
+        parent = draw(st.none() | st.integers(0, v - 1)) if v else None
+        if parent is not None:
+            rows[v][parent] = rows[parent][v] = draw(st.sampled_from((1, -1, 2, -2)))
+    perm = draw(st.permutations(range(n)))
+    return IntMatrix.from_rows([[rows[i][j] for j in perm] for i in perm])
+
+
+@st.composite
+def plumbing_trees(draw):
+    n = draw(st.integers(1, 14))
+    weights = tuple(draw(st.integers(-6, 3)) for _ in range(n))
+    edges = tuple((draw(st.integers(0, v - 1)), v) for v in range(1, n))
+    return PlumbingGraph(weights, edges)
+
+
+class TestTreeKernel:
+    """`tree_invariants` against the general routines it replaces on trees."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(weighted_forests())
+    @example(chain([-2] * 9))  # A_9: det 10, even
+    @example(chain([0] * 9))  # singular, zero pivots everywhere
+    @example(chain([-2] * 9 + [0]))  # zero pivot at a leaf below the root
+    @example(chain([1] * 10, edge=2))  # even edges: a diagonal form mod 2
+    def test_matches_general_routines(self, m):
+        diag = [m.entries[i][i] for i in range(m.n)]
+        adj = [[(j, x) for j, x in enumerate(row) if x and j != i] for i, row in enumerate(m.entries)]
+        inv = tree_invariants(diag, adj)
+        assert inv.det == _bareiss_determinant(m)
+        assert (inv.n_plus, inv.n_minus, inv.n_zero) == _sylvester_inertia(m)
+        assert inv.wu == _gf2_wu(m)
+        # the public routines take the kernel above 8 rows; same answers
+        assert (_forest_structure(m) is not None) == (m.n > 8)
+        assert determinant(m) == inv.det
+        assert inertia(m) == (inv.n_plus, inv.n_minus, inv.n_zero)
+        assert is_negative_definite(m) == inv.negative_definite
+        if inv.n_zero:
+            with pytest.raises(SingularMatrix):
+                signature(m)
+        else:
+            assert signature(m) == inv.n_plus - inv.n_minus
+        if inv.wu is None:
+            with pytest.raises(EvenDeterminant):
+                wu_class(m)
+        else:
+            assert wu_class(m).coords == inv.wu
+
+    def test_cycle_takes_general_path(self):
+        m = chain([-2] * 9).rows()
+        m[0][8] = m[8][0] = 1  # close the chain into a 9-cycle
+        m = IntMatrix.from_rows(m)
+        assert _forest_structure(m) is None
+        assert determinant(m) == _bareiss_determinant(m)
+
+    @settings(deadline=None, max_examples=200)
+    @given(plumbing_trees())
+    @example(star_plumbing(seifert_invariants(validate_triple(2, 3, 5))))  # E8
+    def test_mubar_refusals_and_value(self, g):
+        m = intersection_matrix(g)
+        det = _bareiss_determinant(m)
+        n_plus, _, n_zero = _sylvester_inertia(m)
+        if det not in (1, -1):
+            with pytest.raises(NotUnimodular):
+                mubar(g)
+        elif n_plus or n_zero:
+            with pytest.raises(NotNegativeDefinite):
+                mubar(g)
+        else:
+            result = mubar(g)
+            assert result.signature == -g.vertex_count
+            assert result.wu_square == wu_square(m, WuClass(_gf2_wu(m)))
 
 
 class TestGraphToSeifert:

@@ -1,11 +1,16 @@
 """Verification reports: claim evaluation, serialization round trips."""
 
 import json
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from brieskorn import FAMILIES, build_report, family_sweep
+import brieskorn.report as report_mod
+from brieskorn import FAMILIES, brieskorn_plumbing, build_report, family_sweep
 from brieskorn.errors import UnknownFamily
+from brieskorn.plumbing import graph_invariants
 from brieskorn.report import (
     CSV_HEADER,
     family_notes,
@@ -147,3 +152,40 @@ class TestTripleSummary:
     def test_casson_forced(self):
         obj = triple_summary(validate_triple(2, 3, 5), with_casson=True)
         assert obj["casson"] == -1
+
+
+def assert_euler_cross_check(triple):
+    """Neumann-Raymond: negative definite iff e < 0, |det| = a1*a2*a3*|e|."""
+    graph = brieskorn_plumbing(triple)
+    inv = report_mod._seifert_checked_invariants(graph)
+    assert inv == graph_invariants(graph)
+    _, s = graph.origin
+    e = s.euler_number
+    (a1, _), (a2, _), (a3, _) = s.legs
+    assert inv.negative_definite == (e < 0)
+    assert abs(inv.det) == a1 * a2 * a3 * abs(e)
+
+
+class TestSeifertCrossCheck:
+    def test_every_family_member_to_100(self):
+        for fam in FAMILIES.values():
+            for n in range(1, 101):
+                if fam.admissible(n):
+                    assert_euler_cross_check(fam.triple_of(n))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(2, 200), st.integers(2, 200), st.integers(2, 5000))
+    def test_random_coprime_triples(self, p, q, r):
+        assume(gcd(p, q) == gcd(q, r) == gcd(p, r) == 1)
+        assert_euler_cross_check(validate_triple(p, q, r))
+
+    def test_disagreement_is_caught(self, monkeypatch):
+        def doubled(graph):
+            inv = graph_invariants(graph)
+            return inv._replace(det=2 * inv.det)
+
+        monkeypatch.setattr(report_mod, "graph_invariants", doubled)
+        with pytest.raises(AssertionError, match="det"):
+            triple_summary(validate_triple(2, 3, 7), with_casson=False)
+        with pytest.raises(AssertionError, match="det"):
+            build_report("thm1-even2", 1)
