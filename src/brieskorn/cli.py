@@ -13,6 +13,7 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 usage/input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -42,6 +43,7 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brieskorn",
@@ -171,20 +173,28 @@ def _cmd_replay(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
+        return _replay_and_print(script, args.trace)
+    except ValueError as exc:  # an integer too long to print, see sys.set_int_max_str_digits
+        print(f"replay failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
+
+
+def _replay_and_print(script, trace_steps: bool) -> int:
+    try:
         trace = replay(script)
     except StepIllegal as exc:
-        if args.trace and exc.trace:
+        if trace_steps and exc.trace:
             for step in exc.trace:
                 print(json.dumps(step.to_json_obj()))
         print(f"replay failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except FinalMismatch as exc:
-        if args.trace and exc.trace:
+        if trace_steps and exc.trace:
             for step in exc.trace:
                 print(json.dumps(step.to_json_obj()))
         print(f"replay failed: final state mismatch: {exc.diff}", file=sys.stderr)
         return EXIT_VERIFICATION
-    if args.trace:
+    if trace_steps:
         print(trace.to_json_lines())
     print(f"replay ok: {script.name} ({len(script.moves)} moves)")
     return EXIT_OK

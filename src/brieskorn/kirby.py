@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import (
     DuplicateLabel,
@@ -78,7 +79,20 @@ class FramedLink:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FramedLink":
-        return cls(tuple(obj["labels"]), IntMatrix.from_rows(obj["matrix"]))
+        """Inverse of `to_json_obj`; labels a list of strings, the matrix a
+        list of lists of integers, else TypeError or ValueError."""
+        labels, rows = obj["labels"], obj["matrix"]
+        if not isinstance(labels, list):
+            raise TypeError(f"labels must be a list, got {labels!r}")
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise TypeError(f"matrix must be a list of lists, got {rows!r}")
+        return cls(tuple(_json_label(x) for x in labels), IntMatrix.from_rows(rows))
+
+
+def _json_label(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"expected a string label, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -196,40 +210,61 @@ def plumbing_to_link(g: PlumbingGraph) -> FramedLink:
     return FramedLink(tuple(labels), intersection_matrix(g))
 
 
+def _check_sign(sign, move: str) -> None:
+    # exact ints only: the moves write the sign into unchecked matrices
+    if isinstance(sign, bool) or not isinstance(sign, int) or sign not in (1, -1):
+        raise ValueError(f"{move} sign must be +1 or -1")
+
+
 def blow_down(link: FramedLink, component: str) -> FramedLink:
-    """Remove a (+-1)-framed component by the Schur complement step."""
+    """Remove a (+-1)-framed component by the Schur complement step.
+
+    Rows that do not link the component only lose its column; the others are
+    rebuilt.
+    """
     c = link.index(component)
-    eps = link.matrix.entries[c][c]
+    m = link.matrix.entries
+    eps = m[c][c]
     if eps not in (1, -1):
         raise IllegalBlowdown(f"{component} has framing {eps}, not +-1")
-    keep = [k for k in range(link.size) if k != c]
-    m = link.matrix.entries
-    rows = [[m[j][k] - eps * m[j][c] * m[c][k] for k in keep] for j in keep]
-    return FramedLink(tuple(link.labels[k] for k in keep), IntMatrix.from_rows(rows))
+    col = m[c][:c] + m[c][c + 1 :]  # row c is column c
+    rows = []
+    for j, row in enumerate(m):
+        if j == c:
+            continue
+        kept = row[:c] + row[c + 1 :]
+        a = eps * row[c]
+        rows.append(tuple([x - a * y for x, y in zip(kept, col)]) if a else kept)
+    return FramedLink(link.labels[:c] + link.labels[c + 1 :], IntMatrix._unchecked(tuple(rows)))
 
 
 def slide(link: FramedLink, moving: str, over: str, sign: int) -> FramedLink:
-    """Congruence row/col(moving) += sign * row/col(over); det is preserved."""
+    """Congruence row/col(moving) += sign * row/col(over); det is preserved.
+
+    Besides row i (moving), only the rows k with m[j][k] != 0 change, and
+    only in column i.
+    """
     if moving == over:
         raise SameComponent(moving)
-    if sign not in (1, -1):
-        raise ValueError("slide sign must be +1 or -1")
+    _check_sign(sign, "slide")
     i = link.index(moving)
     j = link.index(over)
     m = link.matrix.entries
-    rows = [list(r) for r in m]
-    for k in range(link.size):
-        if k != i:
-            rows[i][k] = m[i][k] + sign * m[j][k]
-            rows[k][i] = rows[i][k]
-    rows[i][i] = m[i][i] + 2 * sign * m[i][j] + m[j][j]
-    return FramedLink(link.labels, IntMatrix.from_rows(rows))
+    mi, mj = m[i], m[j]
+    new_i = [x + sign * y for x, y in zip(mi, mj)]
+    new_i[i] = mi[i] + 2 * sign * mi[j] + mj[j]
+    rows = list(m)
+    rows[i] = new_i = tuple(new_i)
+    for k, y in enumerate(mj):
+        if y and k != i:
+            row = m[k]
+            rows[k] = row[:i] + (new_i[k],) + row[i + 1 :]
+    return FramedLink(link.labels, IntMatrix._unchecked(tuple(rows)))
 
 
 def blow_up(link: FramedLink, sign: int, linking, label: str) -> FramedLink:
     """Append a component with the given framing sign and linking vector."""
-    if sign not in (1, -1):
-        raise ValueError("blow-up sign must be +1 or -1")
+    _check_sign(sign, "blow-up")
     if label in link.labels:
         raise DuplicateLabel(label)
     for x in linking:
@@ -240,9 +275,9 @@ def blow_up(link: FramedLink, sign: int, linking, label: str) -> FramedLink:
         raise ValueError(
             f"linking vector length {len(linking)} != link size {link.size}"
         )
-    rows = [list(r) + [linking[i]] for i, r in enumerate(link.matrix.entries)]
-    rows.append(list(linking) + [sign])
-    return FramedLink(link.labels + (label,), IntMatrix.from_rows(rows))
+    rows = [r + (x,) for r, x in zip(link.matrix.entries, linking)]
+    rows.append(linking + (sign,))
+    return FramedLink(link.labels + (label,), IntMatrix._unchecked(tuple(rows)))
 
 
 def apply_move(link: FramedLink, move: KirbyMove) -> FramedLink:
@@ -259,24 +294,35 @@ def replay(script: KirbyScript) -> ReplayTrace:
     """Apply the moves in order, recording matrix, determinant and legality.
 
     Each trace step holds the post-move state, its exact determinant, and a
-    legality flag.  Raises StepIllegal on the first illegal move and
-    FinalMismatch when the final state differs from ``expect`` (labels in
-    order, matrices entrywise).  Both exceptions carry the partial trace.
+    legality flag.  The determinant is computed once, for the initial link,
+    and then follows each move by its identity: a blow-down of a component
+    framed eps multiplies it by eps, a slide keeps it, an unlinked blow-up of
+    sign s multiplies it by s; only a blow-up with a nonzero linking vector
+    recomputes it.  The tracked value is checked against the final matrix.
+
+    Raises StepIllegal on the first illegal move (its trace step carries the
+    pre-move determinant) and FinalMismatch when the final state differs
+    from ``expect`` (labels in order, matrices entrywise).  Both exceptions
+    carry the partial trace.
     """
     state = script.initial
+    det = determinant(state.matrix)
     steps: list[TraceStep] = []
     for idx, move in enumerate(script.moves):
         try:
-            state = apply_move(state, move)
+            after = apply_move(state, move)
         except (IllegalBlowdown, SameComponent, DuplicateLabel, KeyError, ValueError) as exc:
-            steps.append(TraceStep(idx + 1, move.describe(), determinant(state.matrix), False))
+            steps.append(TraceStep(idx + 1, move.describe(), det, False))
             raise StepIllegal(idx, str(exc), trace=tuple(steps)) from exc
-        steps.append(
-            TraceStep(idx + 1, move.describe(), determinant(state.matrix), True, state)
-        )
-    if state.labels != script.expect.labels or state.matrix != script.expect.matrix:
-        diff = _diff_links(script.expect, state)
-        raise FinalMismatch(diff, trace=tuple(steps))
+        if isinstance(move, Blowdown):
+            det *= state.framing(move.component)
+        elif isinstance(move, Blowup):
+            det = determinant(after.matrix) if any(move.linking) else det * move.sign
+        state = after
+        steps.append(TraceStep(idx + 1, move.describe(), det, True, state))
+    assert det == determinant(state.matrix), "tracked determinant disagrees with the final link"
+    if state != script.expect:
+        raise FinalMismatch(_diff_links(script.expect, state), trace=tuple(steps))
     return ReplayTrace(script, tuple(steps), state)
 
 
@@ -297,15 +343,43 @@ def _diff_links(expect: FramedLink, got: FramedLink) -> str:
 
 
 def script_to_json(script: KirbyScript) -> str:
-    return json.dumps(script.to_json_obj(), indent=1)
+    """``json.dumps(script.to_json_obj(), indent=1)``, byte for byte."""
+    return _dumps_indent1(script.to_json_obj(), "\n")
+
+
+def _dumps_indent1(obj, pad: str) -> str:
+    # json.dumps with an indent runs the stdlib's pure-Python encoder; this
+    # joins the same text directly.  Scripts hold only dicts with str keys,
+    # lists, str and int; anything else (and empty containers) goes to json.
+    inner = pad + " "
+    sep = "," + inner
+    t = type(obj)
+    if t is list and obj:
+        return "[" + inner + sep.join([
+            int.__repr__(x) if type(x) is int else _dumps_indent1(x, inner) for x in obj
+        ]) + pad + "]"
+    if t is dict and obj:
+        return "{" + inner + sep.join([
+            _encode_str(k) + ": " + _dumps_indent1(v, inner) for k, v in obj.items()
+        ]) + pad + "}"
+    if t is str:
+        return _encode_str(obj)
+    if t is int:
+        return int.__repr__(obj)
+    return json.dumps(obj)
 
 
 def script_from_json(text: str) -> KirbyScript:
-    """Parse the script wire format; raises ScriptFormatError on any defect."""
+    """Parse the script wire format; raises ScriptFormatError on any defect.
+
+    Labels, in a link and in a move, must be JSON strings; a link's matrix is
+    a list of lists of integers (see `FramedLink.from_json_obj`).
+    """
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also int-digit limit, deep nesting
         raise ScriptFormatError(f"invalid JSON: {exc}") from exc
+
     def strict_int(v):
         if isinstance(v, bool) or not isinstance(v, int):
             raise ScriptFormatError(f"expected an integer, got {v!r}")
@@ -316,17 +390,17 @@ def script_from_json(text: str) -> KirbyScript:
         for mv in obj["moves"]:
             op = mv["op"]
             if op == "blowdown":
-                moves.append(Blowdown(str(mv["component"])))
+                moves.append(Blowdown(_json_label(mv["component"])))
             elif op == "slide":
                 moves.append(
-                    Slide(str(mv["moving"]), str(mv["over"]), strict_int(mv["sign"]))
+                    Slide(_json_label(mv["moving"]), _json_label(mv["over"]), strict_int(mv["sign"]))
                 )
             elif op == "blowup":
                 moves.append(
                     Blowup(
                         strict_int(mv["sign"]),
                         tuple(strict_int(x) for x in mv["linking"]),
-                        str(mv["label"]),
+                        _json_label(mv["label"]),
                     )
                 )
             else:
@@ -382,20 +456,27 @@ def _find_minus_one_slide(link: FramedLink):
             for s in (1, -1):
                 if m[i][i] + 2 * s * m[i][j] + m[j][j] == -1:
                     return [Slide(link.labels[i], link.labels[j], s)]
+    # the second slide is scored on the entries the first one leaves:
+    # m'[i][k] = m[i][k] + s1*m[j][k] and m'[i][i] = m[i][i] + 2*s1*m[i][j] + m[j][j];
+    # the other diagonal entries do not change
     for i in range(n):
+        mi = m[i]
         for j in range(n):
-            if i == j or m[i][j] == 0:
+            if i == j or mi[j] == 0:
                 continue
+            mj = m[j]
             for s1 in (1, -1):
-                first = Slide(link.labels[i], link.labels[j], s1)
-                after = slide(link, first.moving, first.over, first.sign)
-                m1 = after.matrix.entries
+                ii = mi[i] + 2 * s1 * mi[j] + mj[j]
                 for k in range(n):
-                    if k == i or m1[i][k] == 0:
+                    ik = mi[k] + s1 * mj[k]
+                    if k == i or ik == 0:
                         continue
                     for s2 in (1, -1):
-                        if m1[i][i] + 2 * s2 * m1[i][k] + m1[k][k] == -1:
-                            return [first, Slide(link.labels[i], link.labels[k], s2)]
+                        if ii + 2 * s2 * ik + m[k][k] == -1:
+                            return [
+                                Slide(link.labels[i], link.labels[j], s1),
+                                Slide(link.labels[i], link.labels[k], s2),
+                            ]
     return None
 
 
@@ -460,7 +541,9 @@ def script_generator(family_id: str, n: int) -> KirbyScript:
     The move list is: a short prelude opening the plumbing star, one chain
     blow-down per reduction stage (n-1 stages mirror the induction down to
     the base case), the base-case blow-downs, and the endgame that presents
-    the final surgery curve(s).
+    the final surgery curve(s).  Every move is applied once, through the
+    same move functions `replay` uses; the result is not replayed here.
+    Raises FinalMismatch if the moves do not end at ``expect``.
     """
     kind = SCRIPTED_FAMILIES.get(family_id)
     if kind is None:
@@ -479,12 +562,16 @@ def script_generator(family_id: str, n: int) -> KirbyScript:
         f"{blowdowns} cascade blow-downs; stages beyond the base case consume one chain vertex each",
         "isotopy classes of surviving curves are not certified at the linking-matrix level",
     ]
-    script = KirbyScript(
+    # generation is self-checking: the cascade has applied its moves, so the
+    # endgame is applied to its last state and must land on the target
+    for mv in tail:
+        last = apply_move(last, mv)
+    if last != expect:
+        raise FinalMismatch(_diff_links(expect, last))
+    return KirbyScript(
         name=f"{family_id}:n={n}",
         initial=initial,
         moves=tuple(moves + tail),
         expect=expect,
         annotations=tuple(annotations),
     )
-    replay(script)  # generation is self-checking
-    return script

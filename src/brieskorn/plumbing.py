@@ -35,6 +35,9 @@ class IntMatrix:
         for row in self.entries:
             if len(row) != n:
                 raise ValueError("matrix is not square")
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise ValueError(f"matrix entry {x!r} is not an integer")
         for i in range(n):
             for j in range(i):
                 if self.entries[i][j] != self.entries[j][i]:
@@ -42,13 +45,19 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        out = []
-        for row in rows:
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, int):
-                    raise ValueError(f"matrix entry {x!r} is not an integer")
-            out.append(tuple(row))
-        return cls(tuple(out))
+        return cls(tuple(tuple(row) for row in rows))
+
+    @classmethod
+    def _unchecked(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap rows without the square, integer and symmetry checks.
+
+        Only for the Kirby moves, whose outputs are square, symmetric and
+        integral by construction when their input is; every other matrix,
+        and anything from outside the program, goes through the checks.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        return m
 
     @property
     def n(self) -> int:

@@ -1,12 +1,21 @@
 """CLI behaviour: commands, formats, and the exact exit-code contract."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brieskorn.cli import main
+from brieskorn.errors import ScriptFormatError
+from brieskorn.kirby import script_from_json, script_generator
+from brieskorn.plumbing import IntMatrix
 from brieskorn.report import CSV_HEADER
 
 
@@ -185,6 +194,156 @@ class TestReplay:
         code, _, err = run(capsys, "replay", str(path))
         assert code == 3
         assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
+    def test_labels_object_exit_3(self, tmp_path, capsys):
+        # a JSON object is not a label list, even though iterating it yields "a"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "name": "labels",
+            "initial": {"labels": {"a": 1}, "matrix": [[-1]]},
+            "moves": [],
+            "expect": {"labels": ["a"], "matrix": [[-1]]},
+        }))
+        code, _, err = run(capsys, "replay", str(path))
+        assert code == 3
+        assert "labels must be a list" in err
+
+    def test_integer_labels_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "name": "labels",
+            "initial": {"labels": [1], "matrix": [[-1]]},
+            "moves": [{"op": "blowdown", "component": 1}],
+            "expect": {"labels": [], "matrix": []},
+        }))
+        code, _, err = run(capsys, "replay", str(path))
+        assert code == 3
+        assert "string label" in err
+
+    def test_matrix_object_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "name": "m",
+            "initial": {"labels": [], "matrix": {}},
+            "moves": [],
+            "expect": {"labels": [], "matrix": []},
+        }))
+        code, _, err = run(capsys, "replay", str(path))
+        assert code == 3
+        assert "list of lists" in err
+
+    def test_number_too_long_to_print_exit_1(self, tmp_path, capsys):
+        # a legal blow-down squares a 4000-digit linking number: the replay
+        # succeeds, but its determinant and final entry exceed the digits
+        # str() will render
+        x = int("9" * 4000)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "name": "big",
+            "initial": {"labels": ["a", "b"], "matrix": [[-1, x], [x, 0]]},
+            "moves": [{"op": "blowdown", "component": "a"}],
+            "expect": {"labels": ["b"], "matrix": [[0]]},
+        }))
+        code, _, err = run(capsys, "replay", str(path), "--trace")
+        assert code == 1
+        assert err.startswith("replay failed: ") and err.count("\n") == 1
+
+
+SCRIPT_KEYS = (
+    "name", "initial", "moves", "expect", "annotations", "labels", "matrix",
+    "op", "component", "moving", "over", "sign", "linking", "label",
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.sampled_from(["blowdown", "slide", "blowup", "a"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(SCRIPT_KEYS) | st.text(max_size=4), inner, max_size=5),
+    max_leaves=24,
+)
+BASE_SCRIPTS = [
+    script_generator(fam, 1).to_json_obj() for fam in ("thm1-even2", "thm2-3a", "thm2-single13")
+]
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_scripts(draw):
+    """A generated script with one field mutated: a value of another type,
+    ragged rows, a bool or float entry, a label dropped or duplicated, or a
+    key deleted."""
+    obj = copy.deepcopy(draw(st.sampled_from(BASE_SCRIPTS)))
+    paths = list(_paths(obj))[1:]
+    kind = draw(st.sampled_from(["swap", "entry", "ragged", "drop_label", "dup_label", "delete"]))
+    if kind in ("ragged", "entry"):
+        paths = [p for p in paths if len(p) >= 2 and p[-2] == "matrix"]
+    elif kind in ("drop_label", "dup_label"):
+        paths = [p for p in paths if p[-1] == "labels" and len(obj[p[0]]["labels"]) >= 2]
+    path = draw(st.sampled_from(paths))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    target = parent[path[-1]]
+    if kind == "swap":
+        parent[path[-1]] = draw(json_values)
+    elif kind == "entry":
+        target[draw(st.integers(0, len(target) - 1))] = draw(st.sampled_from([True, False, 1.0, -1.5, None, "1"]))
+    elif kind == "ragged":
+        if draw(st.booleans()):
+            target.pop()
+        else:
+            target.append(0)
+    elif kind == "drop_label":
+        del target[draw(st.integers(0, len(target) - 1))]
+    elif kind == "dup_label":
+        target[1] = target[0]
+    else:
+        del parent[path[-1]]
+    return json.dumps(obj)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "script.json"
+
+
+def replay_exit(path, text):
+    """Exit code of `replay --trace` on text; parsing must not reach the
+    unchecked matrix constructor, and nothing may raise."""
+    with mock.patch.object(
+        IntMatrix, "_unchecked", side_effect=AssertionError("parsed matrix took the unchecked path")
+    ):
+        try:
+            script_from_json(text)
+        except ScriptFormatError:
+            pass
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["replay", str(path), "--trace"])
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+class TestReplayFuzz:
+    @settings(deadline=None, max_examples=300)
+    @given(json_values)
+    def test_random_json_values(self, fuzz_file, value):
+        assert replay_exit(fuzz_file, json.dumps(value)) in (0, 1, 3)
+
+    @settings(deadline=None, max_examples=400)
+    @given(mutated_scripts())
+    def test_mutated_scripts(self, fuzz_file, text):
+        assert replay_exit(fuzz_file, text) in (0, 1, 3)
+
+    def test_unmutated_bases_replay(self, fuzz_file):
+        for obj in BASE_SCRIPTS:
+            assert replay_exit(fuzz_file, json.dumps(obj)) == 0
 
 
 class TestGenScript:

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brieskorn import (
@@ -31,8 +31,16 @@ from brieskorn.errors import (
     StepIllegal,
     UnsupportedFamily,
 )
-from brieskorn.kirby import SCRIPTED_FAMILIES, Blowdown, Blowup, KirbyScript, Slide
-from brieskorn.plumbing import PlumbingGraph
+from brieskorn.kirby import (
+    SCRIPTED_FAMILIES,
+    Blowdown,
+    Blowup,
+    KirbyScript,
+    Slide,
+    _find_minus_one_slide,
+    apply_move,
+)
+from brieskorn.plumbing import PlumbingGraph, _bareiss_determinant
 
 
 def L(labels, rows):
@@ -301,3 +309,250 @@ class TestScriptGenerator:
     def test_annotations_present(self):
         script = script_generator("thm1-even3", 2)
         assert any("isotopy" in a for a in script.annotations)
+
+
+# ---------------------------------------------------------------------------
+# the moves against dense reference formulas, and determinant tracking
+
+
+def dense_move(link, move):
+    """Reference moves: every entry from the textbook formula, via from_rows."""
+    m = link.matrix.entries
+    n = link.size
+    if isinstance(move, Blowdown):
+        c = link.index(move.component)
+        eps = m[c][c]
+        keep = [k for k in range(n) if k != c]
+        rows = [[m[j][k] - eps * m[j][c] * m[c][k] for k in keep] for j in keep]
+        return L([link.labels[k] for k in keep], rows)
+    if isinstance(move, Slide):
+        i, j, s = link.index(move.moving), link.index(move.over), move.sign
+        rows = [list(r) for r in m]
+        for k in range(n):
+            if k != i:
+                rows[i][k] = rows[k][i] = m[i][k] + s * m[j][k]
+        rows[i][i] = m[i][i] + 2 * s * m[i][j] + m[j][j]
+        return L(link.labels, rows)
+    v = list(move.linking)
+    rows = [list(r) + [v[k]] for k, r in enumerate(m)] + [v + [move.sign]]
+    return L(link.labels + (move.label,), rows)
+
+
+def reference_minus_one_slide(link):
+    """The slide search scored by applying the first slide in full."""
+    m = link.matrix.entries
+    n = link.size
+    for i in range(n):
+        for j in range(n):
+            if i == j or m[i][j] == 0:
+                continue
+            for s in (1, -1):
+                if m[i][i] + 2 * s * m[i][j] + m[j][j] == -1:
+                    return [Slide(link.labels[i], link.labels[j], s)]
+    for i in range(n):
+        for j in range(n):
+            if i == j or m[i][j] == 0:
+                continue
+            for s1 in (1, -1):
+                first = Slide(link.labels[i], link.labels[j], s1)
+                m1 = dense_move(link, first).matrix.entries
+                for k in range(n):
+                    if k == i or m1[i][k] == 0:
+                        continue
+                    for s2 in (1, -1):
+                        if m1[i][i] + 2 * s2 * m1[i][k] + m1[k][k] == -1:
+                            return [first, Slide(link.labels[i], link.labels[k], s2)]
+    return None
+
+
+signs = st.sampled_from([1, -1])
+
+
+@st.composite
+def random_links(draw, max_n=5, bound=4):
+    n = draw(st.integers(0, max_n))
+    values = draw(st.lists(st.integers(-bound, bound), min_size=n * n, max_size=n * n))
+    rows = [[values[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    return L([f"c{i}" for i in range(n)], rows)
+
+
+@st.composite
+def legal_scripts(draw):
+    """Random legal move sequences: slides, unlinked and linked blow-ups, and
+    blow-downs of whatever is framed +-1."""
+    initial = state = draw(random_links())
+    moves = []
+    for fresh in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["blowup", "linked", "slide", "blowdown"]))
+        m = state.matrix.entries
+        if kind == "slide" and state.size >= 2:
+            i, j = draw(st.permutations(range(state.size)))[:2]
+            mv = Slide(state.labels[i], state.labels[j], draw(signs))
+        elif kind == "blowdown" and any(abs(m[k][k]) == 1 for k in range(state.size)):
+            ones = [lab for k, lab in enumerate(state.labels) if abs(m[k][k]) == 1]
+            mv = Blowdown(draw(st.sampled_from(ones)))
+        else:
+            size = state.size
+            vec = [0] * size if kind != "linked" else draw(
+                st.lists(st.integers(-2, 2), min_size=size, max_size=size)
+            )
+            mv = Blowup(draw(signs), tuple(vec), f"e{fresh}")
+        state = dense_move(state, mv)
+        moves.append(mv)
+    return KirbyScript("random", initial, tuple(moves), state)
+
+
+class TestMovesAgainstDenseReference:
+    @settings(deadline=None, max_examples=300)
+    @given(legal_scripts())
+    def test_every_move_matches_the_formula(self, script):
+        state = script.initial
+        for mv in script.moves:
+            expected = dense_move(state, mv)
+            state = apply_move(state, mv)
+            assert state == expected
+            assert state.matrix == IntMatrix.from_rows(state.matrix.entries)
+
+    @settings(deadline=None, max_examples=300)
+    @given(random_links(max_n=7, bound=3))
+    def test_slide_search_picks_the_reference_candidate(self, link):
+        assert _find_minus_one_slide(link) == reference_minus_one_slide(link)
+
+    def test_slide_search_on_family_cascades(self):
+        # every link the cascade searches, for the families that need slides
+        for fam in ("thm1-even3", "thm2-3a", "thm2-3b", "thm2-3c"):
+            script = script_generator(fam, 6)
+            state = script.initial
+            for mv in script.moves:
+                if state.size > 1 and all(
+                    state.matrix.entries[k][k] != -1 for k in range(state.size)
+                ):
+                    assert _find_minus_one_slide(state) == reference_minus_one_slide(state)
+                state = apply_move(state, mv)
+
+    def test_bad_signs_rejected(self):
+        link = L(["a", "b"], [[-1, 1], [1, -2]])
+        for sign in (True, 1.0, 0, 2):
+            with pytest.raises(ValueError):
+                slide(link, "a", "b", sign)
+            with pytest.raises(ValueError):
+                blow_up(link, sign, [0, 0], "c")
+
+
+class TestDeterminantTracking:
+    @settings(deadline=None, max_examples=300)
+    @given(legal_scripts())
+    def test_every_step_det_is_the_bareiss_det(self, script):
+        trace = replay(script)
+        assert len(trace.steps) == len(script.moves)
+        for step in trace.steps:
+            assert step.legal
+            assert step.det == _bareiss_determinant(step.state.matrix)
+
+    @settings(deadline=None, max_examples=200)
+    @given(legal_scripts(), st.sampled_from(["framing", "missing", "same", "duplicate"]))
+    def test_illegal_step_carries_the_pre_move_det(self, script, kind):
+        last = script.expect
+        if kind == "framing":
+            bad = [lab for k, lab in enumerate(last.labels) if abs(last.matrix.entries[k][k]) != 1]
+            assume(bad)
+            move = Blowdown(bad[0])
+        elif kind == "missing":
+            move = Blowdown("zz")
+        elif kind == "same":
+            assume(last.size)
+            move = Slide(last.labels[0], last.labels[0], 1)
+        else:
+            assume(last.size)
+            move = Blowup(1, (0,) * last.size, last.labels[-1])
+        bad_script = KirbyScript("illegal", script.initial, script.moves + (move,), last)
+        with pytest.raises(StepIllegal) as err:
+            replay(bad_script)
+        steps = err.value.trace
+        assert err.value.index == len(script.moves)
+        assert [s.legal for s in steps] == [True] * len(script.moves) + [False]
+        assert steps[-1].det == _bareiss_determinant(last.matrix)
+        assert steps[-1].state is None
+
+    def test_scripted_families_to_30(self):
+        for fam, kind in sorted(SCRIPTED_FAMILIES.items()):
+            for n in range(1, (1 if kind == "single" else 30) + 1):
+                script = script_generator(fam, n)
+                trace = replay(script)
+                dets = [step.det for step in trace.steps]
+                assert dets == [_bareiss_determinant(s.state.matrix) for s in trace.steps], (fam, n)
+                assert script_to_json(script) == json.dumps(script.to_json_obj(), indent=1)
+
+    def test_determinant_computed_for_initial_and_final_link_only(self, monkeypatch):
+        import brieskorn.kirby as kirby
+
+        calls = []
+        orig = kirby.determinant
+        monkeypatch.setattr(kirby, "determinant", lambda m: calls.append(m.n) or orig(m))
+        script = kirby.script_generator("thm2-3b", 8)
+        assert calls == []
+        kirby.replay(script)
+        assert calls == [script.initial.size, script.expect.size]
+
+
+    def test_tracked_determinant_is_checked_against_the_final_link(self, monkeypatch):
+        import brieskorn.kirby as kirby
+
+        calls = []
+        orig = kirby.determinant
+
+        def skewed(m):
+            # a wrong initial determinant is carried to the end and caught there
+            calls.append(m)
+            return orig(m) * (3 if len(calls) == 1 else 1)
+
+        monkeypatch.setattr(kirby, "determinant", skewed)
+        with pytest.raises(AssertionError, match="tracked determinant"):
+            kirby.replay(kirby.script_generator("thm1-even2", 2))
+
+    def test_generator_checks_its_final_link(self, monkeypatch):
+        import brieskorn.kirby as kirby
+
+        monkeypatch.setattr(kirby, "KM_TARGET", L(["K", "m"], [[0, 1], [1, -2]]))
+        with pytest.raises(FinalMismatch, match="expected -2, got -1"):
+            kirby.script_generator("thm1-even2", 2)
+
+
+# labels as JSON carries them: any text, quotes and non-ASCII included
+json_labels = st.text(max_size=6)
+big_ints = st.one_of(st.integers(), st.integers(-(10**300), 10**300))
+
+
+@st.composite
+def any_links(draw):
+    n = draw(st.integers(0, 3))
+    labels = draw(st.lists(json_labels, min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(big_ints, min_size=n * n, max_size=n * n))
+    rows = [[values[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    return L(labels, rows)
+
+
+any_moves = st.one_of(
+    st.builds(Blowdown, json_labels),
+    st.builds(Slide, json_labels, json_labels, big_ints),
+    st.builds(Blowup, big_ints, st.lists(big_ints, max_size=3).map(tuple), json_labels),
+)
+
+
+class TestScriptJsonBytes:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        json_labels,
+        any_links(),
+        st.lists(any_moves, max_size=4),
+        any_links(),
+        st.lists(st.text(max_size=8), max_size=2),
+    )
+    def test_same_bytes_as_json_dumps_indent_1(self, name, initial, moves, expect, notes):
+        script = KirbyScript(name, initial, tuple(moves), expect, tuple(notes))
+        assert script_to_json(script) == json.dumps(script.to_json_obj(), indent=1)
+
+    def test_empty_links_and_special_labels(self):
+        empty = L([], [])
+        script = KirbyScript('q"\\é☃\n', empty, (), empty)
+        assert script_to_json(script) == json.dumps(script.to_json_obj(), indent=1)

@@ -141,6 +141,12 @@ class TestIntersectionMatrix:
         with pytest.raises(ValueError):
             IntMatrix(((0, 1), (2, 0)))
 
+    def test_constructor_rejects_non_integers(self):
+        # the Kirby moves trust their input matrix, so every public way in checks
+        for bad in (((-1.0, 0.5), (0.5, -2.0)), ((True,),), (("1",),)):
+            with pytest.raises(ValueError, match="not an integer"):
+                IntMatrix(bad)
+
 
 class TestDeterminant:
     def test_trivial(self):
