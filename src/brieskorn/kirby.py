@@ -25,7 +25,7 @@ surviving component represents is recorded as an unverified annotation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import (
@@ -40,6 +40,7 @@ from .errors import (
 from .plumbing import (
     IntMatrix,
     PlumbingGraph,
+    _star_legs,
     brieskorn_plumbing,
     determinant,
     intersection_matrix,
@@ -162,7 +163,6 @@ class TraceStep:
     op: str
     det: int
     legal: bool
-    state: FramedLink | None = field(default=None, compare=False)
 
     def to_json_obj(self) -> dict:
         return {"step": self.step, "op": self.op, "det": self.det, "legal": self.legal}
@@ -191,22 +191,9 @@ def plumbing_to_link(g: PlumbingGraph) -> FramedLink:
     labels = [f"v{i}" for i in range(g.vertex_count)]
     deg = g.degrees()
     if g.vertex_count >= 4 and deg[0] == 3 and all(d <= 2 for d in deg[1:]):
-        adj = [[] for _ in range(g.vertex_count)]
-        for i, j in g.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        leg = 0
-        for start in sorted(adj[0]):
-            leg += 1
-            pos = 1
-            prev, cur = 0, start
-            while True:
-                labels[cur] = f"L{leg}-{pos}"
-                nxt = [k for k in adj[cur] if k != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                pos += 1
+        for leg, chain in enumerate(_star_legs(g, 0), 1):
+            for pos, v in enumerate(chain, 1):
+                labels[v] = f"L{leg}-{pos}"
     return FramedLink(tuple(labels), intersection_matrix(g))
 
 
@@ -291,13 +278,14 @@ def apply_move(link: FramedLink, move: KirbyMove) -> FramedLink:
 
 
 def replay(script: KirbyScript) -> ReplayTrace:
-    """Apply the moves in order, recording matrix, determinant and legality.
+    """Apply the moves in order, recording determinant and legality.
 
-    Each trace step holds the post-move state, its exact determinant, and a
-    legality flag.  The determinant is computed once, for the initial link,
-    and then follows each move by its identity: a blow-down of a component
-    framed eps multiplies it by eps, a slide keeps it, an unlinked blow-up of
-    sign s multiplies it by s; only a blow-up with a nonzero linking vector
+    Each trace step holds the move, the exact determinant after it, and a
+    legality flag; of the links, only the final one is kept.  The
+    determinant is computed once, for the initial link, and then follows
+    each move by its identity: a blow-down of a component framed eps
+    multiplies it by eps, a slide keeps it, an unlinked blow-up of sign s
+    multiplies it by s; only a blow-up with a nonzero linking vector
     recomputes it.  The tracked value is checked against the final matrix.
 
     Raises StepIllegal on the first illegal move (its trace step carries the
@@ -319,7 +307,7 @@ def replay(script: KirbyScript) -> ReplayTrace:
         elif isinstance(move, Blowup):
             det = determinant(after.matrix) if any(move.linking) else det * move.sign
         state = after
-        steps.append(TraceStep(idx + 1, move.describe(), det, True, state))
+        steps.append(TraceStep(idx + 1, move.describe(), det, True))
     assert det == determinant(state.matrix), "tracked determinant disagrees with the final link"
     if state != script.expect:
         raise FinalMismatch(_diff_links(script.expect, state), trace=tuple(steps))

@@ -69,51 +69,48 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class PlumbingGraph:
-    """Weighted tree; ``origin`` optionally records the triple it encodes."""
+    """Weighted tree; ``origin`` optionally records the triple it encodes.
+
+    ``adj[v]`` lists ``(u, 1)`` for each neighbour u of v, the form
+    `tree_invariants` takes; it is built once, when the tree is validated.
+    """
 
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     origin: tuple[BrieskornTriple, SeifertData] | None = field(
         default=None, compare=False
     )
+    adj: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         n = len(self.weights)
+        adj = [[] for _ in range(n)]
+        pair = [(v, 1) for v in range(n)]  # one per vertex, shared by its neighbours
         for i, j in self.edges:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"bad edge ({i},{j})")
-        if n == 0:
-            if self.edges:
-                raise ValueError("empty graph cannot have edges")
-            return
-        if len(self.edges) != n - 1 or not self._connected():
-            raise ValueError("plumbing graph must be a tree")
-
-    def _connected(self) -> bool:
-        n = len(self.weights)
-        adj = [[] for _ in range(n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for k in adj[stack.pop()]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        return len(seen) == n
+            adj[i].append(pair[j])
+            adj[j].append(pair[i])
+        if n:
+            seen = [True] + [False] * (n - 1)
+            stack = [0]
+            while stack:
+                for k, _ in adj[stack.pop()]:
+                    if not seen[k]:
+                        seen[k] = True
+                        stack.append(k)
+            if len(self.edges) != n - 1 or not all(seen):
+                raise ValueError("plumbing graph must be a tree")
+        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
 
     @property
     def vertex_count(self) -> int:
         return len(self.weights)
 
     def degrees(self) -> list[int]:
-        deg = [0] * len(self.weights)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return [len(a) for a in self.adj]
 
     def to_json_obj(self) -> dict:
         """Wire format: {"weights": [...], "edges": [[i, j], ...]}."""
@@ -166,6 +163,16 @@ def hj_evaluate(cs) -> tuple[int, int]:
 
 def star_plumbing(s: SeifertData) -> PlumbingGraph:
     """Canonical star plumbing: center b, then legs outward in leg order."""
+    return _star(s, None)
+
+
+def brieskorn_plumbing(t: BrieskornTriple) -> PlumbingGraph:
+    """star_plumbing of the triple's Seifert data, with origin attached."""
+    s = seifert_invariants(t)
+    return _star(s, (t, s))
+
+
+def _star(s: SeifertData, origin) -> PlumbingGraph:
     weights = [s.b]
     edges = []
     for a, beta in s.legs:
@@ -174,14 +181,7 @@ def star_plumbing(s: SeifertData) -> PlumbingGraph:
             weights.append(-c)
             edges.append((prev, len(weights) - 1))
             prev = len(weights) - 1
-    return PlumbingGraph(tuple(weights), tuple(edges), origin=None)
-
-
-def brieskorn_plumbing(t: BrieskornTriple) -> PlumbingGraph:
-    """star_plumbing of the triple's Seifert data, with origin attached."""
-    s = seifert_invariants(t)
-    g = star_plumbing(s)
-    return PlumbingGraph(g.weights, g.edges, origin=(t, s))
+    return PlumbingGraph(tuple(weights), tuple(edges), origin)
 
 
 def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
@@ -196,26 +196,13 @@ def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
 
 def graph_to_seifert(g: PlumbingGraph) -> SeifertData:
     """Invert star_plumbing: read (b; (alpha_i, beta_i)) off a 3-legged star."""
-    n = g.vertex_count
     deg = g.degrees()
-    centers = [i for i in range(n) if deg[i] >= 3]
+    centers = [i for i, d in enumerate(deg) if d >= 3]
     if len(centers) != 1 or deg[centers[0]] != 3:
         raise NotStarShaped("need exactly one vertex of degree 3")
     center = centers[0]
-    adj = [[] for _ in range(n)]
-    for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
     legs = []
-    for start in sorted(adj[center]):
-        chain = []
-        prev, cur = center, start
-        while True:
-            chain.append(cur)
-            nxt = [k for k in adj[cur] if k != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
+    for chain in _star_legs(g, center):
         cs = []
         for v in chain:
             if g.weights[v] > -2:
@@ -224,6 +211,22 @@ def graph_to_seifert(g: PlumbingGraph) -> SeifertData:
         legs.append(hj_evaluate(cs))
     legs.sort()
     return SeifertData(g.weights[center], tuple(legs))
+
+
+def _star_legs(g: PlumbingGraph, center: int) -> list[list[int]]:
+    """The legs at ``center``, each from the center outward, by first vertex.
+
+    Every vertex but the center must have degree at most 2: this is the star
+    case of the plumbing calculus (W. Neumann, LNM 788, 1980).
+    """
+    legs = []
+    for start, _ in sorted(g.adj[center]):
+        chain = [center, start]
+        while len(g.adj[chain[-1]]) == 2:
+            (a, _), (b, _) = g.adj[chain[-1]]
+            chain.append(b if a == chain[-2] else a)
+        legs.append(chain[1:])
+    return legs
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +385,8 @@ def tree_invariants(diag, adj) -> Invariants:
 
 
 def graph_invariants(g: PlumbingGraph) -> Invariants:
-    """`tree_invariants` of the plumbing, read off its weights and edges."""
-    adj = [[] for _ in g.weights]
-    for i, j in g.edges:
-        adj[i].append((j, 1))
-        adj[j].append((i, 1))
-    return tree_invariants(g.weights, adj)
+    """`tree_invariants` of the plumbing, read off its weights and adjacency."""
+    return tree_invariants(g.weights, g.adj)
 
 
 def _bareiss_determinant(m: IntMatrix) -> int:

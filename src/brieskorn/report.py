@@ -253,13 +253,18 @@ def _seifert_checked_invariants(graph: PlumbingGraph) -> Invariants:
 
 
 def family_sweep(family_id: str, n_from: int, n_to: int, replay_script: bool = False):
-    """Yield one report per admissible n in [n_from, n_to]."""
+    """One report per admissible n in [n_from, n_to], each built on demand.
+
+    An unknown family raises UnknownFamily here, before any report exists.
+    """
     spec = FAMILIES.get(family_id)
     if spec is None:
         raise UnknownFamily(family_id)
-    for n in range(n_from, n_to + 1):
-        if spec.admissible(n):
-            yield build_report(family_id, n, replay_script=replay_script)
+    return (
+        build_report(family_id, n, replay_script=replay_script)
+        for n in range(n_from, n_to + 1)
+        if spec.admissible(n)
+    )
 
 
 def triple_summary(t: BrieskornTriple, with_casson: bool) -> dict:

@@ -85,6 +85,27 @@ class TestFamily:
     def test_unknown_family_exit_2(self, capsys):
         code, _, err = run(capsys, "family", "nosuch", "1", "2")
         assert code == 2
+        code, out, err = run(capsys, "family", "nosuch", "1", "2", "--csv")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("fmt", [[], ["--csv"], ["--json"]])
+    def test_each_row_is_written_before_the_next_report_is_built(self, fmt, monkeypatch):
+        import brieskorn.report as report_mod
+
+        out = io.StringIO()
+        written = []
+        build = report_mod.build_report
+
+        def recording(*args, **kwargs):
+            written.append(len(out.getvalue()))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(report_mod, "build_report", recording)
+        with contextlib.redirect_stdout(out):
+            assert main(["family", "thm2-2a", "1", "4", *fmt]) == 0
+        assert len(written) == 4
+        assert all(a < b for a, b in zip(written, written[1:]))
 
     def test_claim_failure_exit_1(self, capsys, monkeypatch):
         import copy

@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
@@ -60,6 +61,19 @@ class TestPlumbingToLink:
         link = plumbing_to_link(PlumbingGraph((-1,), ()))
         assert link.labels == ("v0",)
         assert link.matrix.entries == ((-1,),)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            ((0, 1), (1, 2), (1, 3), (1, 4)),  # the star's center is vertex 1
+            ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5)),  # a second branch vertex
+            ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)),  # a chain
+        ],
+    )
+    def test_other_trees_get_plain_labels(self, edges):
+        n = len(edges) + 1
+        link = plumbing_to_link(PlumbingGraph((-2,) * n, edges))
+        assert link.labels == tuple(f"v{i}" for i in range(n))
 
     def test_sigma_2_7_19_matches_intersection_matrix(self):
         from brieskorn import intersection_matrix
@@ -204,7 +218,6 @@ class TestReplay:
         assert [s.to_json_obj() for s in trace.steps] == [
             {"step": 1, "op": "blowdown:a", "det": -1, "legal": True}
         ]
-        assert trace.steps[-1].state == trace.final  # post-move state kept
 
     def test_final_mismatch(self):
         script = KirbyScript(
@@ -445,9 +458,10 @@ class TestDeterminantTracking:
     def test_every_step_det_is_the_bareiss_det(self, script):
         trace = replay(script)
         assert len(trace.steps) == len(script.moves)
-        for step in trace.steps:
+        links = list(accumulate(script.moves, apply_move, initial=script.initial))[1:]
+        for step, link in zip(trace.steps, links):
             assert step.legal
-            assert step.det == _bareiss_determinant(step.state.matrix)
+            assert step.det == _bareiss_determinant(link.matrix)
 
     @settings(deadline=None, max_examples=200)
     @given(legal_scripts(), st.sampled_from(["framing", "missing", "same", "duplicate"]))
@@ -472,7 +486,6 @@ class TestDeterminantTracking:
         assert err.value.index == len(script.moves)
         assert [s.legal for s in steps] == [True] * len(script.moves) + [False]
         assert steps[-1].det == _bareiss_determinant(last.matrix)
-        assert steps[-1].state is None
 
     def test_scripted_families_to_30(self):
         for fam, kind in sorted(SCRIPTED_FAMILIES.items()):
@@ -480,7 +493,8 @@ class TestDeterminantTracking:
                 script = script_generator(fam, n)
                 trace = replay(script)
                 dets = [step.det for step in trace.steps]
-                assert dets == [_bareiss_determinant(s.state.matrix) for s in trace.steps], (fam, n)
+                links = list(accumulate(script.moves, apply_move, initial=script.initial))[1:]
+                assert dets == [_bareiss_determinant(link.matrix) for link in links], (fam, n)
                 assert script_to_json(script) == json.dumps(script.to_json_obj(), indent=1)
 
     def test_determinant_computed_for_initial_and_final_link_only(self, monkeypatch):

@@ -35,6 +35,7 @@ from brieskorn.plumbing import (
     _bareiss_determinant,
     _forest_structure,
     _sylvester_inertia,
+    graph_invariants,
     inertia,
     tree_invariants,
 )
@@ -305,6 +306,69 @@ def plumbing_trees(draw):
     weights = tuple(draw(st.integers(-6, 3)) for _ in range(n))
     edges = tuple((draw(st.integers(0, v - 1)), v) for v in range(1, n))
     return PlumbingGraph(weights, edges)
+
+
+def is_tree(n, edges):
+    """Union-find: every end in range, no self-loop, no cycle, n - 1 edges."""
+    tree_of = list(range(n))
+
+    def find(x):
+        while tree_of[x] != x:
+            x = tree_of[x]
+        return x
+
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n) or find(i) == find(j):
+            return False
+        tree_of[find(i)] = find(j)
+    return len(edges) == max(n - 1, 0)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): trees in shuffled order and orientation, trees with one
+    defect (duplicate edge, self-loop, out-of-range end, a cycle that leaves
+    a vertex isolated), and arbitrary pair lists."""
+    n = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["tree", "duplicate", "loop", "range", "cycle", "any"]))
+    if kind == "any":
+        end = st.integers(-1, n)
+        return n, draw(st.lists(st.tuples(end, end), max_size=n + 1))
+    spanned = n - 1 if kind == "cycle" else n  # "cycle" leaves vertex n - 1 out
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, spanned)]
+    if kind == "duplicate" and edges:
+        edges.append(draw(st.sampled_from(edges)))
+    elif kind == "loop" and n:
+        v = draw(st.integers(0, n - 1))
+        edges.append((v, v))
+    elif kind == "cycle" and spanned >= 3:
+        v = draw(st.integers(2, spanned - 1))
+        parent = edges[v - 1][0]
+        edges.append((draw(st.sampled_from([u for u in range(v) if u != parent])), v))
+    perm = draw(st.permutations(range(n)))
+    edges = [(perm[i], perm[j]) if draw(st.booleans()) else (perm[j], perm[i]) for i, j in edges]
+    if kind == "range" and edges:
+        edges[draw(st.integers(0, len(edges) - 1))] = (edges[0][0], draw(st.sampled_from((-1, n))))
+    return n, draw(st.permutations(edges))
+
+
+class TestTreeValidation:
+    @settings(deadline=None, max_examples=400)
+    @given(edge_lists(), st.data())
+    def test_accepts_exactly_the_trees(self, case, data):
+        n, edges = case
+        weights = tuple(data.draw(st.lists(st.integers(-6, 3), min_size=n, max_size=n)))
+        if not is_tree(n, edges):
+            with pytest.raises(ValueError):
+                PlumbingGraph(weights, tuple(edges))
+            return
+        g = PlumbingGraph(weights, tuple(edges))
+        adj = [[] for _ in range(n)]
+        for i, j in g.edges:
+            adj[i].append((j, 1))
+            adj[j].append((i, 1))
+        assert graph_invariants(g) == tree_invariants(weights, adj)
+        assert g.degrees() == [len(a) for a in adj]
 
 
 class TestTreeKernel:

@@ -4,7 +4,7 @@ import json
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brieskorn.report as report_mod
@@ -154,6 +154,23 @@ class TestTripleSummary:
         assert obj["casson"] == -1
 
 
+@st.composite
+def coprime_triples(draw):
+    """Pairwise coprime (p, q, r) in [2, 200] x [2, 200] x [2, 5000].
+
+    Each component steps up from its drawn value, wrapping within its range,
+    to the next value coprime to the components before it, so no draw is
+    thrown away.
+    """
+    triple = []
+    for lo, hi in ((2, 200), (2, 200), (2, 5000)):
+        x = draw(st.integers(lo, hi))
+        while any(gcd(x, y) != 1 for y in triple):
+            x = lo if x == hi else x + 1
+        triple.append(x)
+    return triple
+
+
 def assert_euler_cross_check(triple):
     """Neumann-Raymond: negative definite iff e < 0, |det| = a1*a2*a3*|e|."""
     graph = brieskorn_plumbing(triple)
@@ -174,10 +191,9 @@ class TestSeifertCrossCheck:
                     assert_euler_cross_check(fam.triple_of(n))
 
     @settings(deadline=None, max_examples=200)
-    @given(st.integers(2, 200), st.integers(2, 200), st.integers(2, 5000))
-    def test_random_coprime_triples(self, p, q, r):
-        assume(gcd(p, q) == gcd(q, r) == gcd(p, r) == 1)
-        assert_euler_cross_check(validate_triple(p, q, r))
+    @given(coprime_triples())
+    def test_random_coprime_triples(self, triple):
+        assert_euler_cross_check(validate_triple(*triple))
 
     def test_disagreement_is_caught(self, monkeypatch):
         def doubled(graph):
