@@ -179,17 +179,12 @@ def _cmd_replay(args) -> int:
 def _replay_and_print(script, trace_steps: bool) -> int:
     try:
         trace = replay(script)
-    except StepIllegal as exc:
+    except (StepIllegal, FinalMismatch) as exc:
         if trace_steps and exc.trace:
             for step in exc.trace:
-                print(json.dumps(step.to_json_obj()))
-        print(f"replay failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except FinalMismatch as exc:
-        if trace_steps and exc.trace:
-            for step in exc.trace:
-                print(json.dumps(step.to_json_obj()))
-        print(f"replay failed: final state mismatch: {exc.diff}", file=sys.stderr)
+                print(step.to_json())
+        reason = f"final state mismatch: {exc.diff}" if isinstance(exc, FinalMismatch) else exc
+        print(f"replay failed: {reason}", file=sys.stderr)
         return EXIT_VERIFICATION
     if trace_steps:
         print(trace.to_json_lines())

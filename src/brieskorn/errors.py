@@ -64,7 +64,7 @@ class DuplicateLabel(BrieskornError):
 
 
 class UnsupportedFamily(BrieskornError):
-    """No scripted reduction is built in for this family."""
+    """No scripted reduction for this family, or a link above the size cap."""
 
 
 class ScriptFormatError(BrieskornError):

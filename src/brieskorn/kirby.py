@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import (
@@ -40,43 +41,84 @@ from .errors import (
 from .plumbing import (
     IntMatrix,
     PlumbingGraph,
+    _forest_adjacency,
+    _forest_determinant,
     _star_legs,
     brieskorn_plumbing,
     determinant,
-    intersection_matrix,
 )
-from .seifert import FAMILIES, family
+from .seifert import FAMILIES, family, seifert_invariants
 
 
-@dataclass(frozen=True)
 class FramedLink:
-    """Labeled components with a symmetric integer linking matrix."""
+    """Labeled components with a symmetric integer linking matrix, held as
+    sparse rows: ``rows`` is keyed by the labels in order, and ``rows[a]``
+    maps each b with m[a][b] != 0 (b = a for the framing) to that entry.
+    Zeros are never stored, so equal links have equal rows.  Links are
+    immutable; moves share the rows they leave alone, and the dense
+    `matrix` is built on demand."""
 
-    labels: tuple[str, ...]
-    matrix: IntMatrix
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        if len(self.labels) != self.matrix.n:
-            raise ValueError("label count must match matrix dimension")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("labels must be distinct")
+    def __init__(self, labels, matrix: IntMatrix):
+        self.rows = _sparse_rows(tuple(labels), matrix.entries)
+
+    @classmethod
+    def _of(cls, rows: dict) -> "FramedLink":
+        link = object.__new__(cls)
+        link.rows = rows
+        return link
+
+    @property
+    def labels(self) -> tuple:
+        return tuple(self.rows)
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return len(self.rows)
 
-    def index(self, label: str) -> int:
+    @property
+    def matrix(self) -> IntMatrix:
+        return IntMatrix(tuple(map(tuple, self._dense(0, int))))
+
+    def _dense(self, zero, cell) -> list[list]:
+        """Rows in label order: ``zero`` everywhere, ``cell(x)`` at each nonzero x."""
+        pos = {a: k for k, a in enumerate(self.rows)}
+        blank = [zero] * len(pos)
+        out = []
+        for r in self.rows.values():
+            row = blank.copy()
+            for b, x in r.items():
+                row[pos[b]] = cell(x)
+            out.append(row)
+        return out
+
+    def _row(self, label) -> dict:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self.rows[label]
+        except KeyError:
             raise KeyError(f"no component {label!r}") from None
 
+    def index(self, label: str) -> int:
+        self._row(label)
+        return self.labels.index(label)
+
     def framing(self, label: str) -> int:
-        i = self.index(label)
-        return self.matrix.entries[i][i]
+        return self._row(label).get(label, 0)
+
+    def __eq__(self, other):
+        if not isinstance(other, FramedLink):
+            return NotImplemented
+        return self.rows == other.rows and list(self.rows) == list(other.rows)
+
+    def __hash__(self):
+        return hash((self.labels, frozenset((a, b, x) for a, r in self.rows.items() for b, x in r.items())))
+
+    def __repr__(self):
+        return f"FramedLink(labels={self.labels!r}, matrix={self.matrix!r})"
 
     def to_json_obj(self) -> dict:
-        return {"labels": list(self.labels), "matrix": [list(r) for r in self.matrix.entries]}
+        return {"labels": list(self.labels), "matrix": self._dense(0, int)}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FramedLink":
@@ -87,7 +129,24 @@ class FramedLink:
             raise TypeError(f"labels must be a list, got {labels!r}")
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise TypeError(f"matrix must be a list of lists, got {rows!r}")
-        return cls(tuple(_json_label(x) for x in labels), IntMatrix.from_rows(rows))
+        labels = tuple(_json_label(x) for x in labels)
+        return cls._of(_sparse_rows(labels, rows))
+
+
+def _sparse_rows(labels: tuple, matrix) -> dict:
+    """Sparse rows keyed in label order, checked in the same pass: one distinct
+    label per row, square, exact ints, symmetric (on the nonzeros, enough)."""
+    n = len(matrix)
+    if len(labels) != n or len(set(labels)) != n:
+        raise ValueError("the matrix needs one distinct label per row")
+    rows = {}
+    for a, row in zip(labels, matrix):
+        if len(row) != n or set(map(type, row)) - {int}:
+            raise ValueError(f"matrix row {a!r} is not a row of {n} integers")
+        rows[a] = dict(zip(compress(labels, row), compress(row, row)))
+    if any(rows[b].get(a) != x for a, row in rows.items() for b, x in row.items()):
+        raise ValueError("matrix is not symmetric")
+    return rows
 
 
 def _json_label(v) -> str:
@@ -167,6 +226,12 @@ class TraceStep:
     def to_json_obj(self) -> dict:
         return {"step": self.step, "op": self.op, "det": self.det, "legal": self.legal}
 
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_obj())``, ValueError on too long an int included."""
+        legal = "true" if self.legal else "false"
+        return '{"step": %d, "op": %s, "det": %d, "legal": %s}' % (
+            self.step, _encode_str(self.op), self.det, legal)
+
 
 @dataclass(frozen=True)
 class ReplayTrace:
@@ -175,7 +240,7 @@ class ReplayTrace:
     final: FramedLink
 
     def to_json_lines(self) -> str:
-        return "\n".join(json.dumps(s.to_json_obj()) for s in self.steps)
+        return "\n".join([s.to_json() for s in self.steps])
 
 
 # ---------------------------------------------------------------------------
@@ -194,65 +259,79 @@ def plumbing_to_link(g: PlumbingGraph) -> FramedLink:
         for leg, chain in enumerate(_star_legs(g, 0), 1):
             for pos, v in enumerate(chain, 1):
                 labels[v] = f"L{leg}-{pos}"
-    return FramedLink(tuple(labels), intersection_matrix(g))
+    rows = {}
+    for a, w, nbrs in zip(labels, g.weights, g.adj):
+        row = rows[a] = {labels[u]: x for u, x in nbrs}
+        if w:
+            row[a] = w
+    return FramedLink._of(rows)
 
 
 def _check_sign(sign, move: str) -> None:
-    # exact ints only: the moves write the sign into unchecked matrices
+    # exact ints only: the moves store the sign in the rows as given
     if isinstance(sign, bool) or not isinstance(sign, int) or sign not in (1, -1):
         raise ValueError(f"{move} sign must be +1 or -1")
 
 
 def blow_down(link: FramedLink, component: str) -> FramedLink:
-    """Remove a (+-1)-framed component by the Schur complement step.
-
-    Rows that do not link the component only lose its column; the others are
-    rebuilt.
-    """
-    c = link.index(component)
-    m = link.matrix.entries
-    eps = m[c][c]
+    """Remove a (+-1)-framed component c by the Schur complement step; only
+    the rows of c's neighbours change, in O(deg(c)^2) entries."""
+    rc = link._row(component)
+    eps = rc.get(component, 0)
     if eps not in (1, -1):
         raise IllegalBlowdown(f"{component} has framing {eps}, not +-1")
-    col = m[c][:c] + m[c][c + 1 :]  # row c is column c
-    rows = []
-    for j, row in enumerate(m):
-        if j == c:
-            continue
-        kept = row[:c] + row[c + 1 :]
-        a = eps * row[c]
-        rows.append(tuple([x - a * y for x, y in zip(kept, col)]) if a else kept)
-    return FramedLink(link.labels[:c] + link.labels[c + 1 :], IntMatrix._unchecked(tuple(rows)))
+    rows = link.rows.copy()
+    del rows[component]
+    nbrs = [(b, x) for b, x in rc.items() if b != component]
+    for j, a in nbrs:
+        row = rows[j] = rows[j].copy()
+        del row[component]
+        a *= eps
+        for k, y in nbrs:
+            x = row.get(k, 0) - a * y
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+    return FramedLink._of(rows)
+
+
+def _slid_framing(ri: dict, rj: dict, i, j, s: int) -> int:
+    """Framing of i after sliding it over j with sign s."""
+    return ri.get(i, 0) + 2 * s * ri.get(j, 0) + rj.get(j, 0)
+
+
+def _slid_row(ri: dict, rj: dict, i, j, s: int) -> dict:
+    """Row i after sliding i over j with sign s: row i + s * row j, then the framing."""
+    row = ri.copy()
+    for k, y in rj.items():
+        row[k] = row.get(k, 0) + s * y
+    row[i] = _slid_framing(ri, rj, i, j, s)
+    return {k: x for k, x in row.items() if x}
 
 
 def slide(link: FramedLink, moving: str, over: str, sign: int) -> FramedLink:
     """Congruence row/col(moving) += sign * row/col(over); det is preserved.
-
-    Besides row i (moving), only the rows k with m[j][k] != 0 change, and
-    only in column i.
-    """
+    Besides row i (moving), only the rows in the support of row j change."""
     if moving == over:
         raise SameComponent(moving)
     _check_sign(sign, "slide")
-    i = link.index(moving)
-    j = link.index(over)
-    m = link.matrix.entries
-    mi, mj = m[i], m[j]
-    new_i = [x + sign * y for x, y in zip(mi, mj)]
-    new_i[i] = mi[i] + 2 * sign * mi[j] + mj[j]
-    rows = list(m)
-    rows[i] = new_i = tuple(new_i)
-    for k, y in enumerate(mj):
-        if y and k != i:
-            row = m[k]
-            rows[k] = row[:i] + (new_i[k],) + row[i + 1 :]
-    return FramedLink(link.labels, IntMatrix._unchecked(tuple(rows)))
+    ri, rj = link._row(moving), link._row(over)
+    rows = link.rows.copy()
+    new = rows[moving] = _slid_row(ri, rj, moving, over, sign)
+    for k in rj:
+        if k != moving:
+            row = rows[k] = rows[k].copy()
+            row.pop(moving, None)
+            if k in new:
+                row[moving] = new[k]
+    return FramedLink._of(rows)
 
 
 def blow_up(link: FramedLink, sign: int, linking, label: str) -> FramedLink:
     """Append a component with the given framing sign and linking vector."""
     _check_sign(sign, "blow-up")
-    if label in link.labels:
+    if label in link.rows:
         raise DuplicateLabel(label)
     for x in linking:
         if isinstance(x, bool) or not isinstance(x, int):
@@ -262,9 +341,13 @@ def blow_up(link: FramedLink, sign: int, linking, label: str) -> FramedLink:
         raise ValueError(
             f"linking vector length {len(linking)} != link size {link.size}"
         )
-    rows = [r + (x,) for r, x in zip(link.matrix.entries, linking)]
-    rows.append(linking + (sign,))
-    return FramedLink(link.labels + (label,), IntMatrix._unchecked(tuple(rows)))
+    rows = link.rows.copy()
+    new = rows[label] = {label: sign}
+    for a, x in zip(link.labels, linking):
+        if x:
+            new[a] = x
+            rows[a] = {**rows[a], label: x}
+    return FramedLink._of(rows)
 
 
 def apply_move(link: FramedLink, move: KirbyMove) -> FramedLink:
@@ -282,11 +365,12 @@ def replay(script: KirbyScript) -> ReplayTrace:
 
     Each trace step holds the move, the exact determinant after it, and a
     legality flag; of the links, only the final one is kept.  The
-    determinant is computed once, for the initial link, and then follows
-    each move by its identity: a blow-down of a component framed eps
-    multiplies it by eps, a slide keeps it, an unlinked blow-up of sign s
-    multiplies it by s; only a blow-up with a nonzero linking vector
-    recomputes it.  The tracked value is checked against the final matrix.
+    determinant is computed once, for the initial link from its rows
+    (`_link_determinant`), and then follows each move by its identity: a
+    blow-down of a component framed eps multiplies it by eps, a slide keeps
+    it, an unlinked blow-up of sign s multiplies it by s; only a blow-up with
+    a nonzero linking vector recomputes it.  The tracked value is checked
+    against the final matrix.
 
     Raises StepIllegal on the first illegal move (its trace step carries the
     pre-move determinant) and FinalMismatch when the final state differs
@@ -294,7 +378,7 @@ def replay(script: KirbyScript) -> ReplayTrace:
     carry the partial trace.
     """
     state = script.initial
-    det = determinant(state.matrix)
+    det = _link_determinant(state)
     steps: list[TraceStep] = []
     for idx, move in enumerate(script.moves):
         try:
@@ -314,14 +398,24 @@ def replay(script: KirbyScript) -> ReplayTrace:
     return ReplayTrace(script, tuple(steps), state)
 
 
+def _link_determinant(link: FramedLink) -> int:
+    """det of the link's matrix: the forest recursion on its rows when they
+    form a forest (every plumbing link does), else `determinant`."""
+    pos = {a: k for k, a in enumerate(link.rows)}
+    edges = ((pos[a], pos[b], x) for a, r in link.rows.items() for b, x in r.items() if pos[a] < pos[b])
+    adj = _forest_adjacency(len(pos), edges)
+    if adj is None:
+        return determinant(link.matrix)
+    return _forest_determinant([r.get(a, 0) for a, r in link.rows.items()], adj)
+
+
 def _diff_links(expect: FramedLink, got: FramedLink) -> str:
     if expect.labels != got.labels:
         return f"labels differ: expected {list(expect.labels)}, got {list(got.labels)}"
     cells = [
-        f"[{i}][{j}] expected {expect.matrix.entries[i][j]}, got {got.matrix.entries[i][j]}"
-        for i in range(expect.size)
-        for j in range(expect.size)
-        if expect.matrix.entries[i][j] != got.matrix.entries[i][j]
+        f"[{i}][{j}] expected {x}, got {y}"
+        for i, rows in enumerate(zip(expect.matrix.entries, got.matrix.entries))
+        for j, (x, y) in enumerate(zip(*rows)) if x != y
     ]
     return "matrix differs: " + "; ".join(cells)
 
@@ -331,8 +425,26 @@ def _diff_links(expect: FramedLink, got: FramedLink) -> str:
 
 
 def script_to_json(script: KirbyScript) -> str:
-    """``json.dumps(script.to_json_obj(), indent=1)``, byte for byte."""
-    return _dumps_indent1(script.to_json_obj(), "\n")
+    """``json.dumps(script.to_json_obj(), indent=1)``, byte for byte; the
+    matrices are written straight from the sparse rows."""
+    return "{\n " + ",\n ".join([
+        '"name": ' + _dumps_indent1(script.name, "\n "),
+        '"initial": ' + _link_json(script.initial, "\n "),
+        '"moves": ' + _dumps_indent1([mv.to_json_obj() for mv in script.moves], "\n "),
+        '"expect": ' + _link_json(script.expect, "\n "),
+        '"annotations": ' + _dumps_indent1(list(script.annotations), "\n "),
+    ]) + "\n}"
+
+
+def _link_json(link: FramedLink, pad: str) -> str:
+    # `_dumps_indent1` of link.to_json_obj(); each matrix row is a list of
+    # "0" cells with the nonzeros set, then joined
+    keys, rows, cells = pad + " ", pad + "  ", pad + "   "
+    matrix = "[" + rows + ("," + rows).join([
+        "[" + cells + ("," + cells).join(r) + rows + "]" for r in link._dense("0", int.__repr__)
+    ]) + keys + "]" if link.rows else "[]"
+    labels = _dumps_indent1(list(link.labels), keys)
+    return "{" + keys + '"labels": ' + labels + "," + keys + '"matrix": ' + matrix + pad + "}"
 
 
 def _dumps_indent1(obj, pad: str) -> str:
@@ -380,17 +492,11 @@ def script_from_json(text: str) -> KirbyScript:
             if op == "blowdown":
                 moves.append(Blowdown(_json_label(mv["component"])))
             elif op == "slide":
-                moves.append(
-                    Slide(_json_label(mv["moving"]), _json_label(mv["over"]), strict_int(mv["sign"]))
-                )
+                moving, over = _json_label(mv["moving"]), _json_label(mv["over"])
+                moves.append(Slide(moving, over, strict_int(mv["sign"])))
             elif op == "blowup":
-                moves.append(
-                    Blowup(
-                        strict_int(mv["sign"]),
-                        tuple(strict_int(x) for x in mv["linking"]),
-                        _json_label(mv["label"]),
-                    )
-                )
+                sign, linking = strict_int(mv["sign"]), tuple(map(strict_int, mv["linking"]))
+                moves.append(Blowup(sign, linking, _json_label(mv["label"])))
             else:
                 raise ScriptFormatError(f"unknown op {op!r}")
         return KirbyScript(
@@ -432,39 +538,29 @@ SINGLE_TARGET = FramedLink(("K",), IntMatrix.from_rows([[1]]))
 def _find_minus_one_slide(link: FramedLink):
     """First slide (or same-mover slide pair) that makes some framing -1.
 
-    Only slides over a linked component are considered; the search order is
-    fixed by label positions, so generation is deterministic.
+    Only slides over a linked component count.  Rows and their supports are
+    walked in label order, so generation is deterministic; the second slide
+    of a pair is scored on the row the first one leaves (`_slid_row`).
     """
-    m = link.matrix.entries
-    n = link.size
-    for i in range(n):
-        for j in range(n):
-            if i == j or m[i][j] == 0:
-                continue
+    rows = link.rows
+    pos = {a: k for k, a in enumerate(rows)}
+
+    def support(a, row):
+        return sorted((b for b in row if b != a), key=pos.__getitem__)
+
+    for i, ri in rows.items():
+        for j in support(i, ri):
             for s in (1, -1):
-                if m[i][i] + 2 * s * m[i][j] + m[j][j] == -1:
-                    return [Slide(link.labels[i], link.labels[j], s)]
-    # the second slide is scored on the entries the first one leaves:
-    # m'[i][k] = m[i][k] + s1*m[j][k] and m'[i][i] = m[i][i] + 2*s1*m[i][j] + m[j][j];
-    # the other diagonal entries do not change
-    for i in range(n):
-        mi = m[i]
-        for j in range(n):
-            if i == j or mi[j] == 0:
-                continue
-            mj = m[j]
+                if _slid_framing(ri, rows[j], i, j, s) == -1:
+                    return [Slide(i, j, s)]
+    for i, ri in rows.items():
+        for j in support(i, ri):
             for s1 in (1, -1):
-                ii = mi[i] + 2 * s1 * mi[j] + mj[j]
-                for k in range(n):
-                    ik = mi[k] + s1 * mj[k]
-                    if k == i or ik == 0:
-                        continue
+                slid = _slid_row(ri, rows[j], i, j, s1)
+                for k in support(i, slid):
                     for s2 in (1, -1):
-                        if ii + 2 * s2 * ik + m[k][k] == -1:
-                            return [
-                                Slide(link.labels[i], link.labels[j], s1),
-                                Slide(link.labels[i], link.labels[k], s2),
-                            ]
+                        if _slid_framing(slid, rows[k], i, k, s2) == -1:
+                            return [Slide(i, j, s1), Slide(i, k, s2)]
     return None
 
 
@@ -479,14 +575,10 @@ def _cascade_moves(link: FramedLink):
     moves: list[KirbyMove] = []
     state = link
     while state.size > 1:
-        target = next(
-            (lab for k, lab in enumerate(state.labels) if state.matrix.entries[k][k] == -1),
-            None,
-        )
+        target = next((a for a, r in state.rows.items() if r.get(a) == -1), None)
         if target is not None:
-            mv: KirbyMove = Blowdown(target)
+            moves.append(Blowdown(target))
             state = blow_down(state, target)
-            moves.append(mv)
             continue
         slides = _find_minus_one_slide(state)
         if slides is None:
@@ -505,10 +597,8 @@ def _endgame_moves(state: FramedLink, target_kind: str):
     blown up and K slides over it to become 0-framed.
     """
     (t,) = state.labels
-    if state.matrix.entries[0][0] != -1:
-        raise UnsupportedFamily(
-            f"cascade ended at framing {state.matrix.entries[0][0]}, expected -1"
-        )
+    if state.framing(t) != -1:
+        raise UnsupportedFamily(f"cascade ended at framing {state.framing(t)}, expected -1")
     moves: list[KirbyMove] = [
         Blowup(1, (0,), "K"),
         Slide("K", t, 1),
@@ -523,6 +613,11 @@ def _endgame_moves(state: FramedLink, target_kind: str):
     return moves, KM_TARGET
 
 
+#: Largest plumbing link `script_generator` takes on: a script file holds the
+#: initial link as a dense V x V matrix, 7 MB at V = 1,000 and 28 MB here.
+MAX_SCRIPT_VERTICES = 2000
+
+
 def script_generator(family_id: str, n: int) -> KirbyScript:
     """Blow-down script for a supported family member, verified on creation.
 
@@ -531,7 +626,9 @@ def script_generator(family_id: str, n: int) -> KirbyScript:
     the base case), the base-case blow-downs, and the endgame that presents
     the final surgery curve(s).  Every move is applied once, through the
     same move functions `replay` uses; the result is not replayed here.
-    Raises FinalMismatch if the moves do not end at ``expect``.
+    Raises FinalMismatch if the moves do not end at ``expect``, and
+    UnsupportedFamily above `MAX_SCRIPT_VERTICES`, before the plumbing is
+    built.
     """
     kind = SCRIPTED_FAMILIES.get(family_id)
     if kind is None:
@@ -539,6 +636,15 @@ def script_generator(family_id: str, n: int) -> KirbyScript:
             raise UnsupportedFamily(f"no scripted reduction for family {family_id}")
         raise UnsupportedFamily(f"unknown family {family_id}")
     triple = family(family_id, n)
+    vertices = 1  # of the star: `hj_expand`'s steps per leg, counted to one past the cap
+    for a, b in seifert_invariants(triple).legs:
+        while b and vertices <= MAX_SCRIPT_VERTICES:
+            a, b = b, -(-a // b) * b - a
+            vertices += 1
+    if vertices > MAX_SCRIPT_VERTICES:
+        raise UnsupportedFamily(
+            f"{family_id} n={n}: more than {MAX_SCRIPT_VERTICES} vertices, the cap for scripts"
+        )
     graph = brieskorn_plumbing(triple)
     initial = plumbing_to_link(graph)
     moves, last = _cascade_moves(initial)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from typing import NamedTuple
 
@@ -46,18 +47,6 @@ class IntMatrix:
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         return cls(tuple(tuple(row) for row in rows))
-
-    @classmethod
-    def _unchecked(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
-        """Wrap rows without the square, integer and symmetry checks.
-
-        Only for the Kirby moves, whose outputs are square, symmetric and
-        integral by construction when their input is; every other matrix,
-        and anything from outside the program, goes through the checks.
-        """
-        m = object.__new__(cls)
-        object.__setattr__(m, "entries", entries)
-        return m
 
     @property
     def n(self) -> int:
@@ -243,8 +232,18 @@ def _forest_structure(m: IntMatrix):
     n = m.n
     if n <= 8:
         return None
+    rows = m.entries
+    adj = _forest_adjacency(n, (
+        (i, j, row[j]) for i, row in enumerate(rows) for j in compress(range(i + 1, n), row[i + 1 :])
+    ))
+    return None if adj is None else ([row[i] for i, row in enumerate(rows)], adj)
+
+
+def _forest_adjacency(n: int, edges):
+    """Adjacency lists of the weighted edges (i, j, a) on n vertices, or None at
+    the first edge that closes a cycle (union-find: it joins one tree)."""
     adj = [[] for _ in range(n)]
-    tree_of = list(range(n))  # union-find; an edge inside one tree is a cycle
+    tree_of = list(range(n))
 
     def find(x: int) -> int:
         while tree_of[x] != x:
@@ -252,17 +251,14 @@ def _forest_structure(m: IntMatrix):
             x = tree_of[x]
         return x
 
-    for i in range(n):
-        row = m.entries[i]
-        for j in range(i + 1, n):
-            if row[j] != 0:
-                ti, tj = find(i), find(j)
-                if ti == tj:
-                    return None
-                tree_of[ti] = tj
-                adj[i].append((j, row[j]))
-                adj[j].append((i, row[j]))
-    return [row[i] for i, row in enumerate(m.entries)], adj
+    for i, j, a in edges:
+        ti, tj = find(i), find(j)
+        if ti == tj:
+            return None
+        tree_of[ti] = tj
+        adj[i].append((j, a))
+        adj[j].append((i, a))
+    return adj
 
 
 def _eliminate(diag, adj):
@@ -420,10 +416,13 @@ def _bareiss_determinant(m: IntMatrix) -> int:
 def determinant(m: IntMatrix) -> int:
     """Exact determinant; the D/E recursion alone on forest-shaped matrices."""
     forest = _forest_structure(m)
-    if forest is None:
-        return _bareiss_determinant(m)
+    return _bareiss_determinant(m) if forest is None else _forest_determinant(*forest)
+
+
+def _forest_determinant(diag, adj) -> int:
+    """Product over the roots of `_eliminate`'s D: the D/E recursion alone."""
     det = 1
-    for _, parent, _, d, _ in _eliminate(*forest):
+    for _, parent, _, d, _ in _eliminate(diag, adj):
         if parent < 0:
             det *= d
     return det

@@ -6,7 +6,7 @@ import io
 import json
 import subprocess
 import sys
-from unittest import mock
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from brieskorn.cli import main
 from brieskorn.errors import ScriptFormatError
-from brieskorn.kirby import script_from_json, script_generator
+from brieskorn.kirby import FramedLink, script_from_json, script_generator
 from brieskorn.plumbing import IntMatrix
 from brieskorn.report import CSV_HEADER
 
@@ -328,21 +328,58 @@ def mutated_scripts(draw):
     return json.dumps(obj)
 
 
+@st.composite
+def link_inputs(draw):
+    """(labels, rows) as a script's JSON carries them: a labeled symmetric
+    integer matrix with up to three defects, each a non-integer entry (bools,
+    floats such as 1.0), an asymmetric entry, a ragged or missing row, a
+    duplicate, non-string or missing label, or an extra label."""
+    n = draw(st.integers(0, 4))
+    values = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    rows = [[values[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    labels = [f"c{i}" for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["entry", "asym", "ragged", "row", "dup", "label", "count"]))
+        if kind == "count":
+            labels.append("extra") if draw(st.booleans()) or not labels else labels.pop()
+            continue
+        if not rows:
+            continue
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        if kind == "entry" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.sampled_from([True, False, 1.0, 0.0, -1.5, None, "1"])
+            )
+        elif kind == "asym" and row:
+            j = draw(st.integers(0, len(row) - 1))
+            if isinstance(row[j], int):
+                row[j] += draw(st.sampled_from([1, -1]))
+        elif kind == "ragged":
+            row.append(0) if draw(st.booleans()) or not row else row.pop()
+        elif kind == "row":
+            del rows[i]
+        elif kind == "dup" and len(labels) >= 2:
+            labels[1] = labels[0]
+        elif kind == "label" and labels:
+            labels[draw(st.integers(0, len(labels) - 1))] = draw(
+                st.sampled_from([0, 1.5, None, b"c0", ["c0"], "\u00e9"])
+            )
+    return labels, rows
+
+
 @pytest.fixture(scope="module")
 def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "script.json"
 
 
 def replay_exit(path, text):
-    """Exit code of `replay --trace` on text; parsing must not reach the
-    unchecked matrix constructor, and nothing may raise."""
-    with mock.patch.object(
-        IntMatrix, "_unchecked", side_effect=AssertionError("parsed matrix took the unchecked path")
-    ):
-        try:
-            script_from_json(text)
-        except ScriptFormatError:
-            pass
+    """Exit code of `replay --trace` on text; the parser raises nothing but
+    ScriptFormatError, and nothing may raise."""
+    try:
+        script_from_json(text)
+    except ScriptFormatError:
+        pass
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -362,12 +399,45 @@ class TestReplayFuzz:
     def test_mutated_scripts(self, fuzz_file, text):
         assert replay_exit(fuzz_file, text) in (0, 1, 3)
 
+    @settings(deadline=None, max_examples=400)
+    @given(link_inputs())
+    def test_parser_accepts_what_the_dense_constructor_accepts(self, inputs):
+        # the parser builds sparse rows in one checked pass; with JSON string
+        # labels it must accept and build exactly what the checked dense
+        # route does
+        labels, rows = inputs
+        try:
+            dense = IntMatrix.from_rows(rows)
+        except ValueError:
+            dense = None
+        distinct = all(isinstance(x, str) for x in labels) and len(set(labels)) == len(labels)
+        want = None
+        if dense is not None and distinct and len(labels) == dense.n:
+            want = FramedLink(tuple(labels), dense)
+        try:
+            got = FramedLink.from_json_obj({"labels": labels, "matrix": rows})
+        except (TypeError, ValueError):
+            got = None
+        assert got == want
+        if want is not None:
+            assert hash(got) == hash(want)
+            assert got.matrix == IntMatrix.from_rows(rows)
+
     def test_unmutated_bases_replay(self, fuzz_file):
         for obj in BASE_SCRIPTS:
             assert replay_exit(fuzz_file, json.dumps(obj)) == 0
 
 
 class TestGenScript:
+    def test_huge_n_refused_before_building(self, tmp_path, capsys):
+        out_file = tmp_path / "huge.json"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen-script", "thm2-3b", "1000000", "-o", str(out_file))
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_file.exists()
+
     def test_unsupported_family_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen-script", "al-2", "1", "-o", str(tmp_path / "x"))
         assert code == 2

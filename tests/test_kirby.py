@@ -500,9 +500,14 @@ class TestDeterminantTracking:
     def test_determinant_computed_for_initial_and_final_link_only(self, monkeypatch):
         import brieskorn.kirby as kirby
 
+        # the initial link's det comes from its rows, the final one's from
+        # its dense matrix
         calls = []
-        orig = kirby.determinant
+        orig, orig_rows = kirby.determinant, kirby._link_determinant
         monkeypatch.setattr(kirby, "determinant", lambda m: calls.append(m.n) or orig(m))
+        monkeypatch.setattr(
+            kirby, "_link_determinant", lambda link: calls.append(link.size) or orig_rows(link)
+        )
         script = kirby.script_generator("thm2-3b", 8)
         assert calls == []
         kirby.replay(script)
@@ -513,16 +518,17 @@ class TestDeterminantTracking:
         import brieskorn.kirby as kirby
 
         calls = []
-        orig = kirby.determinant
+        orig = kirby._link_determinant
 
-        def skewed(m):
+        def skewed(link):
             # a wrong initial determinant is carried to the end and caught there
-            calls.append(m)
-            return orig(m) * (3 if len(calls) == 1 else 1)
+            calls.append(link)
+            return orig(link) * 3
 
-        monkeypatch.setattr(kirby, "determinant", skewed)
+        monkeypatch.setattr(kirby, "_link_determinant", skewed)
         with pytest.raises(AssertionError, match="tracked determinant"):
             kirby.replay(kirby.script_generator("thm1-even2", 2))
+        assert len(calls) == 1
 
     def test_generator_checks_its_final_link(self, monkeypatch):
         import brieskorn.kirby as kirby
@@ -570,3 +576,83 @@ class TestScriptJsonBytes:
         empty = L([], [])
         script = KirbyScript('q"\\é☃\n', empty, (), empty)
         assert script_to_json(script) == json.dumps(script.to_json_obj(), indent=1)
+
+
+class TestSparseNormalForm:
+    def test_slide_cancelling_an_entry_stores_no_zero(self):
+        link = L(["a", "b", "c"], [[-2, 0, 1], [0, -2, 1], [1, 1, -2]])
+        move = Slide("a", "b", -1)
+        after = apply_move(link, move)
+        assert after == dense_move(link, move)
+        assert hash(after) == hash(dense_move(link, move))
+        assert after.matrix.entries[0][2] == 0
+        assert "c" not in after.rows["a"] and "a" not in after.rows["c"]
+
+    def test_blow_down_zeroing_a_framing_stores_no_zero(self):
+        link = L(["a", "b"], [[-1, 1], [1, -1]])
+        move = Blowdown("a")
+        after = apply_move(link, move)
+        assert after == dense_move(link, move) == L(["b"], [[0]])
+        assert hash(after) == hash(dense_move(link, move))
+        assert after.rows == {"b": {}}
+
+    def test_label_order_is_part_of_equality(self):
+        ab = L(["a", "b"], [[-1, 0], [0, -2]])
+        ba = L(["b", "a"], [[-2, 0], [0, -1]])
+        assert ab.rows == ba.rows
+        assert ab != ba
+
+    @settings(deadline=None, max_examples=300)
+    @given(random_links(max_n=7, bound=3), st.data())
+    def test_slide_search_follows_label_positions(self, link, data):
+        # label names in an order unrelated to their positions
+        names = data.draw(st.permutations([f"x{k}" for k in range(link.size)]))
+        relabeled = L(names, link.matrix.entries)
+        assert _find_minus_one_slide(relabeled) == reference_minus_one_slide(relabeled)
+
+    @settings(deadline=None, max_examples=200)
+    @given(random_links(max_n=6))
+    def test_dense_round_trip(self, link):
+        m = link.matrix
+        assert FramedLink(link.labels, m).matrix == m
+        assert link.to_json_obj()["matrix"] == [list(r) for r in m.entries]
+        assert all(x != 0 for row in link.rows.values() for x in row.values())
+
+    @settings(deadline=None, max_examples=200)
+    @given(legal_scripts())
+    def test_moves_keep_the_normal_form(self, script):
+        state = script.initial
+        for mv in script.moves:
+            expected = dense_move(state, mv)
+            state = apply_move(state, mv)
+            assert hash(state) == hash(expected)
+            assert state.rows == expected.rows
+            assert all(x != 0 for row in state.rows.values() for x in row.values())
+
+
+class TestTraceLines:
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 10**6), st.text(max_size=8), big_ints, st.booleans())
+    def test_same_bytes_as_json_dumps(self, step, op, det, legal):
+        from brieskorn.kirby import TraceStep
+
+        s = TraceStep(step, op, det, legal)
+        assert s.to_json() == json.dumps(s.to_json_obj())
+
+    def test_integer_too_long_to_print(self):
+        from brieskorn.kirby import TraceStep
+
+        with pytest.raises(ValueError):
+            TraceStep(1, "blowdown:a", 10**5000, True).to_json()
+
+
+class TestScriptSizeCap:
+    def test_cap_boundary(self):
+        from brieskorn import family
+        from brieskorn.kirby import MAX_SCRIPT_VERTICES as cap
+
+        # thm2-3b n has n + 6 vertices; the count stops one past the cap
+        assert brieskorn_plumbing(family("thm2-3b", cap - 6)).vertex_count == cap
+        assert script_generator("thm2-3b", cap - 6).initial.size == cap
+        with pytest.raises(UnsupportedFamily, match="cap"):
+            script_generator("thm2-3b", cap - 5)
