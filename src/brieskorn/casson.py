@@ -15,21 +15,25 @@ The two must agree up to one global sign fixed once for all n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotDivisibleBy8
 from .seifert import BrieskornTriple
 
 
-@dataclass(frozen=True)
-class TwistKnotFamily:
-    """Twist knot K_n; K_0 is the unknot, K_2 the stevedore knot."""
-
+class _TwistKnot(NamedTuple):
     n: int
 
-    def __post_init__(self):
-        if self.n < 0:
+
+class TwistKnotFamily(_TwistKnot):
+    """Twist knot K_n; K_0 is the unknot, K_2 the stevedore knot."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int):
+        if n < 0:
             raise ValueError("twist-knot parameter must be >= 0")
+        return tuple.__new__(cls, (n,))
 
     @property
     def alexander(self) -> tuple[tuple[int, int], ...]:
@@ -51,8 +55,7 @@ class TwistKnotFamily:
         return sum(c * e * (e - 1) for e, c in self.alexander)
 
 
-@dataclass(frozen=True)
-class LatticeSignature:
+class LatticeSignature(NamedTuple):
     sigma_plus: int
     sigma_minus: int
     sigma_zero: int

@@ -13,9 +13,9 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 usage/input error,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import (
     BrieskornError,
@@ -29,21 +29,26 @@ from .errors import (
     UnsupportedFamily,
 )
 from .kirby import replay, script_from_json, script_generator, script_to_json
+from .plumbing import star_exceeds
 from .report import (
     CSV_HEADER,
     family_notes,
     family_sweep,
     triple_summary,
 )
-from .seifert import validate_triple
+from .seifert import seifert_invariants, validate_triple
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 
+#: Largest plumbing `info` builds and prints, counted from the Seifert legs
+#: before anything is built.  Sigma(2,3,599983) has exactly this many
+#: vertices; its `info` takes about 1 s and 64 MB.
+MAX_INFO_VERTICES = 100_000
 
-@functools.cache  # built once per process; parse_args leaves it unchanged
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brieskorn",
@@ -84,15 +89,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # every run parses once; parse_args leaves it unchanged
+
+
 def _cmd_info(args) -> int:
     try:
         triple = validate_triple(args.p, args.q, args.r)
     except (NonPositive, NotPairwiseCoprime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not triple.is_degenerate and star_exceeds(seifert_invariants(triple), MAX_INFO_VERTICES):
+        print(
+            f"error: {triple} has more than {MAX_INFO_VERTICES} plumbing vertices, "
+            "the cap for info",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     summary = triple_summary(triple, with_casson=args.casson)
     if args.json:
-        print(json.dumps(summary))
+        print(_json(summary))
         return EXIT_OK
     p, q, r = summary["triple"]
     print(f"triple: Sigma({p},{q},{r})")
@@ -116,6 +131,18 @@ def _cmd_info(args) -> int:
     else:
         print(f"casson: {summary['casson']}")
     return EXIT_OK
+
+
+def _json(obj) -> str:
+    """``json.dumps(obj)`` for `triple_summary` values, byte for byte, without
+    the encoder's several pieces per list item.  Dicts have str keys, lists
+    hold ints or lists of them, and ``str`` prints both as JSON does; bools
+    and None go to `json.dumps`."""
+    if type(obj) is dict:
+        return "{" + ", ".join([_encode_str(k) + ": " + _json(v) for k, v in obj.items()]) + "}"
+    if type(obj) in (list, int):
+        return str(obj)
+    return json.dumps(obj)
 
 
 def _fmt_bool(b: bool) -> str:
@@ -210,8 +237,7 @@ def _cmd_gen_script(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "info":
             return _cmd_info(args)

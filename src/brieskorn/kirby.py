@@ -25,9 +25,9 @@ surviving component represents is recorded as an unverified annotation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _encode_str
+from typing import NamedTuple
 
 from .errors import (
     DuplicateLabel,
@@ -46,6 +46,7 @@ from .plumbing import (
     _star_legs,
     brieskorn_plumbing,
     determinant,
+    star_exceeds,
 )
 from .seifert import FAMILIES, family, seifert_invariants
 
@@ -155,8 +156,7 @@ def _json_label(v) -> str:
     return v
 
 
-@dataclass(frozen=True)
-class Blowdown:
+class Blowdown(NamedTuple):
     component: str
     op = "blowdown"
 
@@ -167,8 +167,7 @@ class Blowdown:
         return f"blowdown:{self.component}"
 
 
-@dataclass(frozen=True)
-class Slide:
+class Slide(NamedTuple):
     moving: str
     over: str
     sign: int
@@ -181,8 +180,7 @@ class Slide:
         return f"slide:{self.moving}/{self.over}:{self.sign:+d}"
 
 
-@dataclass(frozen=True)
-class Blowup:
+class Blowup(NamedTuple):
     sign: int
     linking: tuple[int, ...]
     label: str
@@ -198,8 +196,7 @@ class Blowup:
 KirbyMove = Blowdown | Slide | Blowup
 
 
-@dataclass(frozen=True)
-class KirbyScript:
+class KirbyScript(NamedTuple):
     name: str
     initial: FramedLink
     moves: tuple[KirbyMove, ...]
@@ -216,8 +213,7 @@ class KirbyScript:
         }
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     step: int
     op: str
     det: int
@@ -233,8 +229,7 @@ class TraceStep:
             self.step, _encode_str(self.op), self.det, legal)
 
 
-@dataclass(frozen=True)
-class ReplayTrace:
+class ReplayTrace(NamedTuple):
     script: KirbyScript
     steps: tuple[TraceStep, ...]
     final: FramedLink
@@ -636,12 +631,7 @@ def script_generator(family_id: str, n: int) -> KirbyScript:
             raise UnsupportedFamily(f"no scripted reduction for family {family_id}")
         raise UnsupportedFamily(f"unknown family {family_id}")
     triple = family(family_id, n)
-    vertices = 1  # of the star: `hj_expand`'s steps per leg, counted to one past the cap
-    for a, b in seifert_invariants(triple).legs:
-        while b and vertices <= MAX_SCRIPT_VERTICES:
-            a, b = b, -(-a // b) * b - a
-            vertices += 1
-    if vertices > MAX_SCRIPT_VERTICES:
+    if star_exceeds(seifert_invariants(triple), MAX_SCRIPT_VERTICES):
         raise UnsupportedFamily(
             f"{family_id} n={n}: more than {MAX_SCRIPT_VERTICES} vertices, the cap for scripts"
         )

@@ -15,7 +15,6 @@ over the rationals for inertia, with the dense GF(2) Wu solver in `wu`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from math import gcd
@@ -25,15 +24,18 @@ from .errors import InvalidFraction, NotStarShaped, SingularMatrix
 from .seifert import BrieskornTriple, SeifertData, seifert_invariants
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Symmetric matrix of exact (arbitrary-precision) integers."""
-
+class _Matrix(NamedTuple):
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
+
+class IntMatrix(_Matrix):
+    """Symmetric matrix of exact (arbitrary-precision) integers."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries):
+        n = len(entries)
+        for row in entries:
             if len(row) != n:
                 raise ValueError("matrix is not square")
             for x in row:
@@ -41,8 +43,9 @@ class IntMatrix:
                     raise ValueError(f"matrix entry {x!r} is not an integer")
         for i in range(n):
             for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
+                if entries[i][j] != entries[j][i]:
                     raise ValueError("matrix is not symmetric")
+        return tuple.__new__(cls, (entries,))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -56,28 +59,29 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
+class _Graph(NamedTuple):
+    weights: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+    origin: tuple[BrieskornTriple, SeifertData] | None
+    adj: tuple[tuple[tuple[int, int], ...], ...]
+
+
+class PlumbingGraph(_Graph):
     """Weighted tree; ``origin`` optionally records the triple it encodes.
 
     ``adj[v]`` lists ``(u, 1)`` for each neighbour u of v, the form
     `tree_invariants` takes; it is built once, when the tree is validated.
+    Equality and hash see only the weights and edges, and the repr leaves
+    out ``adj``.
     """
 
-    weights: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    origin: tuple[BrieskornTriple, SeifertData] | None = field(
-        default=None, compare=False
-    )
-    adj: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.weights)
+    def __new__(cls, weights, edges, origin=None):
+        n = len(weights)
         adj = [[] for _ in range(n)]
         pair = [(v, 1) for v in range(n)]  # one per vertex, shared by its neighbours
-        for i, j in self.edges:
+        for i, j in edges:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"bad edge ({i},{j})")
             adj[i].append(pair[j])
@@ -90,9 +94,27 @@ class PlumbingGraph:
                     if not seen[k]:
                         seen[k] = True
                         stack.append(k)
-            if len(self.edges) != n - 1 or not all(seen):
+            if len(edges) != n - 1 or not all(seen):
                 raise ValueError("plumbing graph must be a tree")
-        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
+        return tuple.__new__(cls, (weights, edges, origin, tuple(map(tuple, adj))))
+
+    def __getnewargs__(self):
+        return self[:3]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:2] == other[:2]
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self[:2])
+
+    def __repr__(self):
+        return f"PlumbingGraph(weights={self.weights!r}, edges={self.edges!r}, origin={self.origin!r})"
 
     @property
     def vertex_count(self) -> int:
@@ -140,6 +162,21 @@ def hj_expand(a: int, b: int) -> list[int]:
         out.append(c)
         a, b = b, c * b - a
     return out
+
+
+def star_exceeds(s: SeifertData, cap: int) -> bool:
+    """Whether `star_plumbing(s)` has more than ``cap`` vertices, found
+    without building it.  A leg (alpha, beta) has at most alpha - 1 vertices,
+    so most stars pass on that bound alone.  The others count `hj_expand`'s
+    steps and stop one past the cap: O(cap) steps however long the legs are."""
+    if sum(a for a, _ in s.legs) - 2 <= cap:
+        return False
+    vertices = 1
+    for a, b in s.legs:
+        while b and vertices <= cap:
+            a, b = b, -(-a // b) * b - a
+            vertices += 1
+    return vertices > cap
 
 
 def hj_evaluate(cs) -> tuple[int, int]:
@@ -301,8 +338,8 @@ class Invariants(NamedTuple):
     """det, inertia and spherical Wu class of a symmetric integer form.
 
     ``wu`` is the 0/1 solution of A w = diag(A) (mod 2); None iff det is even.
-    A NamedTuple, not a frozen dataclass, because the class is built at
-    import: the dataclass costs about 1 ms more there.
+    A NamedTuple record, like every record in the package (see CONVENTIONS,
+    "Records").
     """
 
     det: int

@@ -9,9 +9,9 @@ optional script-replay result.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from . import kirby
 from .casson import casson_brieskorn
@@ -23,8 +23,7 @@ from .wu import characteristic_numbers, mubar_of
 CSV_HEADER = "family,n,p,q,r,vertices,det,neg_def,signature,wu_square,mubar,pass"
 
 
-@dataclass(frozen=True)
-class ClaimCheck:
+class ClaimCheck(NamedTuple):
     name: str
     expected: object
     actual: object
@@ -39,8 +38,7 @@ class ClaimCheck:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     family: str
     n: int
     triple: tuple[int, int, int]

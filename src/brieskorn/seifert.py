@@ -11,9 +11,9 @@ solution of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     DegenerateTriple,
@@ -24,17 +24,21 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class BrieskornTriple:
-    """Pairwise coprime positive triple, stored sorted ascending."""
-
+class _Triple(NamedTuple):
     p: int
     q: int
     r: int
 
-    def __post_init__(self):
-        if not (1 <= self.p <= self.q <= self.r):
+
+class BrieskornTriple(_Triple):
+    """Pairwise coprime positive triple, stored sorted ascending."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int, r: int):
+        if not (1 <= p <= q <= r):
             raise ValueError("components must be positive and sorted ascending")
+        return tuple.__new__(cls, (p, q, r))
 
     @property
     def components(self) -> tuple[int, int, int]:
@@ -49,19 +53,24 @@ class BrieskornTriple:
         return f"Sigma({self.p},{self.q},{self.r})"
 
 
-@dataclass(frozen=True)
-class SeifertData:
-    """Central weight b plus the three normalized exceptional-fiber pairs."""
-
+class _Seifert(NamedTuple):
     b: int
     legs: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
 
-    def __post_init__(self):
-        for a, beta in self.legs:
+
+class SeifertData(_Seifert):
+    """Central weight b plus the three normalized exceptional-fiber pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, b: int, legs):
+        self = tuple.__new__(cls, (b, legs))
+        for a, beta in legs:
             if not (0 < beta < a):
                 raise ValueError(f"leg ({a},{beta}) violates 0 < beta < alpha")
         if self.defect() != -1:
             raise ValueError("Seifert equation not satisfied")
+        return self
 
     def defect(self) -> int:
         """b*a1*a2*a3 + sum_i beta_i * (product of the other alphas)."""
@@ -113,8 +122,7 @@ def seifert_invariants(t: BrieskornTriple) -> SeifertData:
     return SeifertData(num // prod, tuple(legs))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """One built-in family: affine triple formulas plus the admissible n set.
 
     ``triple_coeffs`` holds three (a, b) pairs meaning component = a*n + b.

@@ -16,7 +16,7 @@ integral homology ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EvenDeterminant, NotNegativeDefinite, NotUnimodular, SingularMatrix
 from .plumbing import (
@@ -29,19 +29,22 @@ from .plumbing import (
 )
 
 
-@dataclass(frozen=True)
-class WuClass:
-    """0/1 coordinates of the spherical Wu class, one per vertex."""
-
+class _Wu(NamedTuple):
     coords: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(c not in (0, 1) for c in self.coords):
+
+class WuClass(_Wu):
+    """0/1 coordinates of the spherical Wu class, one per vertex."""
+
+    __slots__ = ()
+
+    def __new__(cls, coords):
+        if any(c not in (0, 1) for c in coords):
             raise ValueError("Wu coordinates must be 0 or 1")
+        return tuple.__new__(cls, (coords,))
 
 
-@dataclass(frozen=True)
-class MubarResult:
+class MubarResult(NamedTuple):
     signature: int
     wu_square: int
     mubar: int

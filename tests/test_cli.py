@@ -1,5 +1,6 @@
 """CLI behaviour: commands, formats, and the exact exit-code contract."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -7,16 +8,22 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brieskorn
+import brieskorn.report as report_mod
+from brieskorn import cli
 from brieskorn.cli import main
 from brieskorn.errors import ScriptFormatError
 from brieskorn.kirby import FramedLink, script_from_json, script_generator
-from brieskorn.plumbing import IntMatrix
-from brieskorn.report import CSV_HEADER
+from brieskorn.plumbing import IntMatrix, brieskorn_plumbing, star_exceeds
+from brieskorn.report import CSV_HEADER, triple_summary
+from brieskorn.seifert import seifert_invariants, validate_triple
 
 
 def run(capsys, *argv):
@@ -55,6 +62,89 @@ class TestInfo:
         code, out, _ = run(capsys, "info", "1", "1", "1")
         assert code == 0
         assert "S^3" in out
+
+
+class TestInfoVertexCap:
+    def test_cap_boundary(self, capsys, monkeypatch):
+        builds = []
+        build = report_mod.brieskorn_plumbing
+        monkeypatch.setattr(report_mod, "brieskorn_plumbing", lambda t: builds.append(t) or build(t))
+        vertices = brieskorn_plumbing(validate_triple(2, 3, 31)).vertex_count
+        monkeypatch.setattr(cli, "MAX_INFO_VERTICES", vertices)
+        code, out, err = run(capsys, "info", "2", "3", "31", "--json")
+        assert code == 0 and err == "" and len(builds) == 1
+        assert len(json.loads(out)["plumbing"]["weights"]) == vertices
+        monkeypatch.setattr(cli, "MAX_INFO_VERTICES", vertices - 1)
+        code, out, err = run(capsys, "info", "2", "3", "31", "--json")
+        assert code == 2 and out == "" and len(builds) == 1
+        assert err == (
+            f"error: Sigma(2,3,31) has more than {vertices - 1} plumbing vertices, "
+            "the cap for info\n"
+        )
+
+    def test_documented_cap(self, capsys):
+        # Sigma(2,3,6n+1) has n + 3 vertices: the README's example sits at the cap
+        at_cap = seifert_invariants(validate_triple(2, 3, 599983))
+        assert not star_exceeds(at_cap, cli.MAX_INFO_VERTICES)
+        assert star_exceeds(at_cap, cli.MAX_INFO_VERTICES - 1)
+        assert star_exceeds(seifert_invariants(validate_triple(2, 3, 599989)), cli.MAX_INFO_VERTICES)
+        code, out, err = run(capsys, "info", "2", "3", "599989")
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            ("2", "3", "6000000001"),
+            ("3787324501", "4869338171", "5781183222"),
+            ("2", "3", "6" + "0" * 38 + "1"),
+            (
+                "6388450390790556548189020906751708896823",
+                "6908469657620774915364963883356997097837",
+                "8345840256347086790396283776985898924194",
+            ),
+        ],
+    )
+    def test_huge_triples_end_within_a_second(self, capsys, triple):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "info", *triple)
+        assert time.perf_counter() - start < 1
+        assert code in (0, 2)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == "" and out.startswith(f"triple: Sigma({','.join(triple)})")
+
+
+JSON_INTS = st.integers() | st.integers(-(10**80), 10**80) | st.sampled_from([0, -1, 2**63, -(2**64)])
+JSON_LISTS = st.recursive(
+    st.lists(JSON_INTS, max_size=6), lambda inner: st.lists(inner, min_size=1, max_size=4), max_leaves=24
+)
+SUMMARY_VALUES = st.recursive(
+    JSON_INTS | st.booleans() | st.none() | JSON_LISTS,
+    lambda inner: st.dictionaries(st.text(max_size=6), inner, max_size=6),
+    max_leaves=30,
+)
+
+
+class TestInfoJson:
+    @settings(max_examples=300, deadline=None)
+    @given(SUMMARY_VALUES)
+    def test_emitter_equals_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value)
+
+    @pytest.mark.parametrize("where", [lambda x: {"a": x}, lambda x: {"a": [1, x]}, lambda x: {"a": [[x]]}])
+    def test_too_long_int_raises_the_same_error(self, where):
+        value = where(10 ** (sys.get_int_max_str_digits() + 1))
+        with pytest.raises(ValueError) as expected:
+            json.dumps(value)
+        with pytest.raises(ValueError) as got:
+            cli._json(value)
+        assert str(got.value) == str(expected.value)
+
+    def test_long_chain_summary(self):
+        summary = triple_summary(validate_triple(3, 5, 6104), with_casson=False)
+        assert len(summary["plumbing"]["weights"]) == 424
+        assert cli._json(summary) == json.dumps(summary)
 
 
 class TestFamily:
@@ -458,6 +548,30 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["mubar"] == 1
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        src = str(Path(brieskorn.__file__).resolve().parent.parent)
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "before = set(sys.modules)\n"
+            "import brieskorn.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_main_parses_with_the_import_time_parser(self, capsys):
+        parse = mock.Mock(wraps=cli._PARSER.parse_args)
+        with (
+            mock.patch.object(cli._PARSER, "parse_args", parse),
+            mock.patch.object(cli, "_build_parser", side_effect=AssertionError),
+            mock.patch.object(argparse.ArgumentParser, "__init__", side_effect=AssertionError),
+        ):
+            code, out, _ = run(capsys, "info", "2", "3", "7")
+        assert code == 0 and "mubar: 1" in out
+        parse.assert_called_once_with(["info", "2", "3", "7"])
 
     def test_usage_error_exit_2(self):
         proc = subprocess.run(

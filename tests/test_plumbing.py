@@ -28,6 +28,7 @@ from brieskorn.errors import (
     InvalidFraction,
     NotNegativeDefinite,
     NotStarShaped,
+    NotPairwiseCoprime,
     NotUnimodular,
     SingularMatrix,
 )
@@ -37,6 +38,7 @@ from brieskorn.plumbing import (
     _sylvester_inertia,
     graph_invariants,
     inertia,
+    star_exceeds,
     tree_invariants,
 )
 from brieskorn.wu import WuClass, _gf2_wu, mubar, wu_class, wu_square
@@ -122,6 +124,20 @@ class TestStarPlumbing:
             for n in range(1, 101):
                 g = brieskorn_plumbing(FAMILIES[fam_id].triple_of(n))
                 assert g.vertex_count == n + 5
+
+    @given(st.integers(2, 60), st.integers(2, 60), st.integers(2, 400), st.integers(0, 600))
+    def test_vertex_cap_without_building(self, p, q, r, cap):
+        try:
+            t = validate_triple(p, q, r)
+        except NotPairwiseCoprime:
+            return
+        if t.is_degenerate:
+            return
+        s = seifert_invariants(t)
+        vertices = star_plumbing(s).vertex_count
+        assert vertices <= p + q + r - 2
+        assert not star_exceeds(s, vertices) and star_exceeds(s, vertices - 1)
+        assert star_exceeds(s, cap) == (vertices > cap)
 
 
 class TestIntersectionMatrix:
