@@ -51,7 +51,7 @@ from .seifert import (
     seifert_invariants,
     validate_triple,
 )
-from .wu import MubarResult, WuClass, mubar, obstructs_integral_ball, wu_class, wu_square
+from .wu import MubarResult, WuClass, mubar, wu_class, wu_square
 
 __all__ = [
     "BrieskornTriple",
@@ -82,7 +82,6 @@ __all__ = [
     "is_negative_definite",
     "milnor_fiber_signature",
     "mubar",
-    "obstructs_integral_ball",
     "plumbing_to_link",
     "replay",
     "script_from_json",

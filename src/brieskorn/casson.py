@@ -47,9 +47,6 @@ class TwistKnotFamily(_TwistKnot):
             return ((0, -1),)
         return ((1, n), (0, -(2 * n + 1)), (-1, n))
 
-    def alexander_at_one(self) -> int:
-        return sum(c for _, c in self.alexander)
-
     def alexander_second_derivative_at_one(self) -> int:
         """d^2/dt^2 of the Laurent polynomial, evaluated at t = 1."""
         return sum(c * e * (e - 1) for e, c in self.alexander)
@@ -63,10 +60,6 @@ class LatticeSignature(NamedTuple):
     @property
     def sigma(self) -> int:
         return self.sigma_plus - self.sigma_minus
-
-    @property
-    def total(self) -> int:
-        return self.sigma_plus + self.sigma_minus + self.sigma_zero
 
 
 def milnor_fiber_signature(t: BrieskornTriple) -> LatticeSignature:

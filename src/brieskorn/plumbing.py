@@ -130,22 +130,6 @@ class PlumbingGraph(_Graph):
             "edges": [[i, j] for i, j in self.edges],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "PlumbingGraph":
-        return cls(
-            tuple(int(w) for w in obj["weights"]),
-            tuple((int(i), int(j)) for i, j in obj["edges"]),
-        )
-
-    def to_dot(self, name: str = "plumbing") -> str:
-        lines = [f"graph {name} {{"]
-        for i, w in enumerate(self.weights):
-            lines.append(f'  v{i} [label="{w}"];')
-        for i, j in self.edges:
-            lines.append(f"  v{i} -- v{j};")
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def hj_expand(a: int, b: int) -> list[int]:
     """Negative continued fraction a/b = [c1, ..., ck], all ci >= 2.
@@ -262,13 +246,10 @@ def _star_legs(g: PlumbingGraph, center: int) -> list[list[int]]:
 def _forest_structure(m: IntMatrix):
     """(diagonal, weighted adjacency) of a forest-shaped matrix, else None.
 
-    Matrices of at most 8 rows return None as well: there the dense routines
-    cost less than this scan.  ``adj[i]`` lists ``(j, m[i][j])`` for the
-    nonzero off-diagonal entries of row i.
+    ``adj[i]`` lists ``(j, m[i][j])`` for the nonzero off-diagonal entries of
+    row i.
     """
     n = m.n
-    if n <= 8:
-        return None
     rows = m.entries
     adj = _forest_adjacency(n, (
         (i, j, row[j]) for i, row in enumerate(rows) for j in compress(range(i + 1, n), row[i + 1 :])

@@ -2,8 +2,7 @@
 
 The expected values per family live in data/claims.json, not in code, so a
 disagreement between computation and expectation is a data diff.  A report
-carries every computed invariant, the claim-by-claim comparison, and an
-optional script-replay result.
+carries every computed invariant and the claim-by-claim comparison.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
-from . import kirby
 from .casson import casson_brieskorn
-from .errors import BrieskornError
 from .plumbing import Invariants, PlumbingGraph, brieskorn_plumbing, graph_invariants
 from .seifert import FAMILIES, BrieskornTriple, UnknownFamily
 from .wu import characteristic_numbers, mubar_of
@@ -50,14 +47,10 @@ class VerificationReport(NamedTuple):
     mubar: int
     obstructed: bool
     claims_checked: tuple[ClaimCheck, ...]
-    script_replayed: tuple[str, bool] | None = None
 
     @property
     def passed(self) -> bool:
-        ok = all(c.passed for c in self.claims_checked)
-        if self.script_replayed is not None:
-            ok = ok and self.script_replayed[1]
-        return ok
+        return all(c.passed for c in self.claims_checked)
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -72,11 +65,7 @@ class VerificationReport(NamedTuple):
             "mubar": self.mubar,
             "obstructed": self.obstructed,
             "claims_checked": [c.to_json_obj() for c in self.claims_checked],
-            "script_replayed": (
-                None
-                if self.script_replayed is None
-                else {"name": self.script_replayed[0], "pass": self.script_replayed[1]}
-            ),
+            "script_replayed": None,  # kept so the key order stays fixed
             "pass": self.passed,
         }
         return obj
@@ -107,31 +96,6 @@ def _csv_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def report_from_json(text: str) -> VerificationReport:
-    obj = json.loads(text)
-    return VerificationReport(
-        family=obj["family"],
-        n=obj["n"],
-        triple=tuple(obj["triple"]),
-        vertex_count=obj["vertex_count"],
-        determinant=obj["determinant"],
-        negative_definite=obj["negative_definite"],
-        signature=obj["signature"],
-        wu_square=obj["wu_square"],
-        mubar=obj["mubar"],
-        obstructed=obj["obstructed"],
-        claims_checked=tuple(
-            ClaimCheck(c["name"], c["expected"], c["actual"], c["pass"])
-            for c in obj["claims_checked"]
-        ),
-        script_replayed=(
-            None
-            if obj.get("script_replayed") is None
-            else (obj["script_replayed"]["name"], obj["script_replayed"]["pass"])
-        ),
-    )
-
-
 @lru_cache(maxsize=1)
 def load_claims() -> dict:
     text = resources.files("brieskorn.data").joinpath("claims.json").read_text()
@@ -153,35 +117,23 @@ def _claim_applies(claim: dict, n: int) -> bool:
     return True
 
 
-def _expected_of(claim: dict, n: int):
+def _evaluate(claim: dict, n: int, actual) -> tuple[object, bool]:
+    """(expected value as printed, whether ``actual`` meets it)."""
     test = claim["test"]
     kind = test["type"]
     if kind == "affine":
-        return test["a"] * n + test["b"]
+        expected = test["a"] * n + test["b"]
+        return expected, actual == expected
     if kind == "eq":
-        return test["value"]
+        return test["value"], actual == test["value"]
     if kind == "abs_eq":
-        return f"|x| = {test['value']}"
+        return f"|x| = {test['value']}", abs(actual) == test["value"]
     if kind == "nonzero":
-        return "!= 0"
+        return "!= 0", actual != 0
     raise ValueError(f"unknown claim test {kind!r}")
 
 
-def _check(claim: dict, n: int, actual) -> bool:
-    test = claim["test"]
-    kind = test["type"]
-    if kind == "affine":
-        return actual == test["a"] * n + test["b"]
-    if kind == "eq":
-        return actual == test["value"]
-    if kind == "abs_eq":
-        return abs(actual) == test["value"]
-    if kind == "nonzero":
-        return actual != 0
-    raise ValueError(f"unknown claim test {kind!r}")
-
-
-def build_report(family_id: str, n: int, replay_script: bool = False) -> VerificationReport:
+def build_report(family_id: str, n: int) -> VerificationReport:
     """Compute all invariants of family member n and check the claim table."""
     spec = FAMILIES.get(family_id)
     if spec is None:
@@ -205,20 +157,8 @@ def build_report(family_id: str, n: int, replay_script: bool = False) -> Verific
         if not _claim_applies(claim, n):
             continue
         actual = computed[claim["target"]]
-        checks.append(
-            ClaimCheck(claim["name"], _expected_of(claim, n), actual, _check(claim, n, actual))
-        )
-    replayed = None
-    if replay_script:
-        if family_id in kirby.SCRIPTED_FAMILIES:
-            script = kirby.script_generator(family_id, n)
-            try:
-                kirby.replay(script)
-                replayed = (script.name, True)
-            except BrieskornError:
-                replayed = (script.name, False)
-        else:
-            replayed = (f"{family_id}:n={n}", False)
+        expected, passed = _evaluate(claim, n, actual)
+        checks.append(ClaimCheck(claim["name"], expected, actual, passed))
     return VerificationReport(
         family=family_id,
         n=n,
@@ -231,7 +171,6 @@ def build_report(family_id: str, n: int, replay_script: bool = False) -> Verific
         mubar=mu_value,
         obstructed=mu_value != 0,
         claims_checked=tuple(checks),
-        script_replayed=replayed,
     )
 
 
@@ -250,7 +189,7 @@ def _seifert_checked_invariants(graph: PlumbingGraph) -> Invariants:
     return inv
 
 
-def family_sweep(family_id: str, n_from: int, n_to: int, replay_script: bool = False):
+def family_sweep(family_id: str, n_from: int, n_to: int):
     """One report per admissible n in [n_from, n_to], each built on demand.
 
     An unknown family raises UnknownFamily here, before any report exists.
@@ -258,11 +197,7 @@ def family_sweep(family_id: str, n_from: int, n_to: int, replay_script: bool = F
     spec = FAMILIES.get(family_id)
     if spec is None:
         raise UnknownFamily(family_id)
-    return (
-        build_report(family_id, n, replay_script=replay_script)
-        for n in range(n_from, n_to + 1)
-        if spec.admissible(n)
-    )
+    return (build_report(family_id, n) for n in range(n_from, n_to + 1) if spec.admissible(n))
 
 
 def triple_summary(t: BrieskornTriple, with_casson: bool) -> dict:

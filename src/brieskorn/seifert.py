@@ -133,17 +133,12 @@ class FamilySpec(NamedTuple):
     id: str
     triple_coeffs: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
     parity: str = "all"
-    n_min: int = 1
     n_exact: int | None = None
 
     def admissible(self, n: int) -> bool:
         if self.n_exact is not None:
             return n == self.n_exact
-        if n < self.n_min:
-            return False
-        if self.parity == "odd" and n % 2 == 0:
-            return False
-        return True
+        return n >= 1 and (self.parity != "odd" or n % 2 == 1)
 
     def triple_of(self, n: int) -> BrieskornTriple:
         if not self.admissible(n):

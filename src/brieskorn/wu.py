@@ -147,8 +147,3 @@ def mubar(g: PlumbingGraph) -> MubarResult:
     Refuses indefinite or non-unimodular input instead of extrapolating.
     """
     return mubar_of(g, graph_invariants(g))
-
-
-def obstructs_integral_ball(r: MubarResult) -> bool:
-    """True iff mubar != 0 (a vanishing value is inconclusive)."""
-    return r.mubar != 0

@@ -1,6 +1,5 @@
 """Continued fractions, star plumbings, and the exact linear algebra."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -403,8 +402,8 @@ class TestTreeKernel:
         assert inv.det == _bareiss_determinant(m)
         assert (inv.n_plus, inv.n_minus, inv.n_zero) == _sylvester_inertia(m)
         assert inv.wu == _gf2_wu(m)
-        # the public routines take the kernel above 8 rows; same answers
-        assert (_forest_structure(m) is not None) == (m.n > 8)
+        # the public routines take the kernel on every forest; same answers
+        assert _forest_structure(m) is not None
         assert determinant(m) == inv.det
         assert inertia(m) == (inv.n_plus, inv.n_minus, inv.n_zero)
         assert is_negative_definite(m) == inv.negative_definite
@@ -482,14 +481,7 @@ class TestSerialization:
         obj = g.to_json_obj()
         assert list(obj) == ["weights", "edges"]
         assert obj["weights"] == [-1, -2, -3, -7]
-        assert PlumbingGraph.from_json_obj(json.loads(json.dumps(obj))) == PlumbingGraph(
-            g.weights, g.edges
-        )
-
-    def test_dot_export(self):
-        g = PlumbingGraph((-1, -2), ((0, 1),))
-        dot = g.to_dot()
-        assert dot.startswith("graph") and "v0 -- v1;" in dot
+        assert obj["edges"] == [[0, 1], [0, 2], [0, 3]]
 
     def test_tree_invariant_enforced(self):
         with pytest.raises(ValueError):

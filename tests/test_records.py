@@ -51,9 +51,9 @@ RECORDS = [
     ),
     (
         FamilySpec,
-        dict(id="x", triple_coeffs=((0, 2), (0, 3), (1, 7)), parity="odd", n_min=3, n_exact=5),
+        dict(id="x", triple_coeffs=((0, 2), (0, 3), (1, 7)), parity="odd", n_exact=5),
         "FamilySpec(id='x', triple_coeffs=((0, 2), (0, 3), (1, 7)), parity='odd', "
-        "n_min=3, n_exact=5)",
+        "n_exact=5)",
         "parity",
     ),
     (IntMatrix, dict(entries=((-2, 1), (1, -3))), "IntMatrix(entries=((-2, 1), (1, -3)))", "entries"),
@@ -88,12 +88,11 @@ RECORDS = [
         dict(
             family="thm1-even2", n=2, triple=(2, 11, 31), vertex_count=7, determinant=-1,
             negative_definite=True, signature=-7, wu_square=-15, mubar=1, obstructed=True,
-            claims_checked=(CHECK,), script_replayed=("thm1-even2:n=2", True),
+            claims_checked=(CHECK,),
         ),
         "VerificationReport(family='thm1-even2', n=2, triple=(2, 11, 31), vertex_count=7, "
         "determinant=-1, negative_definite=True, signature=-7, wu_square=-15, mubar=1, "
-        f"obstructed=True, claims_checked=({CHECK_REPR},), "
-        "script_replayed=('thm1-even2:n=2', True))",
+        f"obstructed=True, claims_checked=({CHECK_REPR},))",
         "n",
     ),
     (Blowdown, dict(component="a"), "Blowdown(component='a')", "component"),
@@ -176,12 +175,11 @@ def test_construction_checks(make, message):
 
 def test_defaults():
     spec = FamilySpec("x", ((0, 2), (0, 3), (1, 7)))
-    assert (spec.parity, spec.n_min, spec.n_exact) == ("all", 1, None)
+    assert (spec.parity, spec.n_exact) == ("all", None)
     assert spec == FamilySpec(id="x", triple_coeffs=((0, 2), (0, 3), (1, 7)), parity="all")
     assert KirbyScript(name="s", initial=LINK, moves=(), expect=LINK).annotations == ()
     assert PlumbingGraph((-1,), ()).origin is None
-    report = VerificationReport(*[None] * 10, claims_checked=())
-    assert report.script_replayed is None and report.passed
+    assert VerificationReport(*[None] * 10, claims_checked=()).passed
 
 
 class TestPlumbingGraphEquality:

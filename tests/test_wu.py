@@ -11,13 +11,13 @@ from brieskorn import (
     brieskorn_plumbing,
     intersection_matrix,
     mubar,
-    obstructs_integral_ball,
     validate_triple,
     wu_class,
     wu_square,
 )
 from brieskorn.errors import EvenDeterminant, NotNegativeDefinite, NotUnimodular
-from brieskorn.plumbing import PlumbingGraph
+from brieskorn.plumbing import Invariants, PlumbingGraph
+from brieskorn.wu import mubar_of
 
 
 def characteristic_vectors(m: IntMatrix):
@@ -173,5 +173,8 @@ class TestObstruction:
         "mu,expected", [(1, True), (0, False), (-1, True), (5, True)]
     )
     def test_predicate(self, mu, expected):
-        r = MubarResult(signature=0, wu_square=-8 * mu, mubar=mu, obstructed=mu != 0)
-        assert obstructs_integral_ball(r) is expected
+        # one vertex of weight -1 - 8*mu in the Wu support: signature -1,
+        # w.w = -1 - 8*mu, so (signature - w.w)/8 = mu
+        g = PlumbingGraph((-1 - 8 * mu,), ())
+        r = mubar_of(g, Invariants(det=-1, n_plus=0, n_minus=1, n_zero=0, wu=(1,)))
+        assert r.mubar == mu and r.obstructed is expected
