@@ -43,10 +43,16 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 
-#: Largest plumbing `info` builds and prints, counted from the Seifert legs
-#: before anything is built.  Sigma(2,3,599983) has exactly this many
-#: vertices; its `info` takes about 1 s and 64 MB.
+#: Largest plumbing `info` builds and prints, and largest member `family`
+#: checks, counted from the Seifert legs before anything is built.
+#: Sigma(2,3,599983) has exactly this many vertices; its `info` takes about
+#: 1 s and 64 MB.
 MAX_INFO_VERTICES = 100_000
+
+#: Most lattice points `info --casson` counts, (p-1)(q-1)(r-1), checked
+#: before counting.  The count runs at 4-6 million points/s (Python 3.11,
+#: 2 shared cores): Sigma(7,11,833334), just below the cap, takes about 9 s.
+MAX_CASSON_POINTS = 50_000_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,6 +111,13 @@ def _cmd_info(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if args.casson and (triple.p - 1) * (triple.q - 1) * (triple.r - 1) > MAX_CASSON_POINTS:
+        print(
+            f"error: {triple} has more than {MAX_CASSON_POINTS} lattice points, "
+            "the cap for --casson",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     summary = triple_summary(triple, with_casson=args.casson)
     if args.json:
         print(_json(summary))
@@ -150,7 +163,7 @@ def _fmt_bool(b: bool) -> str:
 
 
 def _cmd_family(args) -> int:
-    reports = family_sweep(args.id, args.n_from, args.n_to)
+    reports = family_sweep(args.id, args.n_from, args.n_to, MAX_INFO_VERTICES)
     total = failed = 0
     if args.csv:
         print(CSV_HEADER)
@@ -213,7 +226,7 @@ def _replay_and_print(script, trace_steps: bool) -> int:
         reason = f"final state mismatch: {exc.diff}" if isinstance(exc, FinalMismatch) else exc
         print(f"replay failed: {reason}", file=sys.stderr)
         return EXIT_VERIFICATION
-    if trace_steps:
+    if trace_steps and trace.steps:
         print(trace.to_json_lines())
     print(f"replay ok: {script.name} ({len(script.moves)} moves)")
     return EXIT_OK

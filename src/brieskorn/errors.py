@@ -64,7 +64,7 @@ class DuplicateLabel(BrieskornError):
 
 
 class UnsupportedFamily(BrieskornError):
-    """No scripted reduction for this family, or a link above the size cap."""
+    """No scripted reduction for this family, or a member above a size cap."""
 
 
 class ScriptFormatError(BrieskornError):

@@ -13,8 +13,15 @@ from importlib import resources
 from typing import NamedTuple
 
 from .casson import casson_brieskorn
-from .plumbing import Invariants, PlumbingGraph, brieskorn_plumbing, graph_invariants
-from .seifert import FAMILIES, BrieskornTriple, UnknownFamily
+from .errors import UnknownFamily, UnsupportedFamily
+from .plumbing import (
+    Invariants,
+    PlumbingGraph,
+    brieskorn_plumbing,
+    graph_invariants,
+    star_exceeds,
+)
+from .seifert import FAMILIES, BrieskornTriple, FamilySpec, seifert_invariants
 from .wu import characteristic_numbers, mubar_of
 
 CSV_HEADER = "family,n,p,q,r,vertices,det,neg_def,signature,wu_square,mubar,pass"
@@ -189,15 +196,28 @@ def _seifert_checked_invariants(graph: PlumbingGraph) -> Invariants:
     return inv
 
 
-def family_sweep(family_id: str, n_from: int, n_to: int):
+def family_sweep(family_id: str, n_from: int, n_to: int, max_vertices: int):
     """One report per admissible n in [n_from, n_to], each built on demand.
 
     An unknown family raises UnknownFamily here, before any report exists.
+    A member whose plumbing has more than ``max_vertices`` vertices raises
+    UnsupportedFamily when the sweep reaches it, before its plumbing is built.
     """
     spec = FAMILIES.get(family_id)
     if spec is None:
         raise UnknownFamily(family_id)
-    return (build_report(family_id, n) for n in range(n_from, n_to + 1) if spec.admissible(n))
+    return _sweep(spec, range(n_from, n_to + 1), max_vertices)
+
+
+def _sweep(spec: FamilySpec, ns: range, max_vertices: int):
+    for n in ns:
+        if not spec.admissible(n):
+            continue
+        if star_exceeds(seifert_invariants(spec.triple_of(n)), max_vertices):
+            raise UnsupportedFamily(
+                f"{spec.id} n={n}: more than {max_vertices} plumbing vertices, the cap for family"
+            )
+        yield build_report(spec.id, n)
 
 
 def triple_summary(t: BrieskornTriple, with_casson: bool) -> dict:

@@ -1,12 +1,19 @@
 """Casson cross-check: lattice-point signature vs the surgery formula."""
 
+from math import gcd, isqrt
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from brieskorn import (
+    FAMILIES,
     TwistKnotFamily,
+    brieskorn_plumbing,
     casson_brieskorn,
     casson_surgery_twist,
     milnor_fiber_signature,
+    mubar,
     validate_triple,
 )
 
@@ -56,8 +63,6 @@ class TestLatticeSignature:
 
     def test_no_zeros_across_cheap_sweep(self):
         # Sigma(2,3,6n+1) up to n=100 plus every family's first member
-        from brieskorn import FAMILIES
-
         triples = [(2, 3, 6 * n + 1) for n in range(1, 101)]
         triples += [
             FAMILIES[f].triple_of(1).components for f in sorted(FAMILIES)
@@ -96,3 +101,46 @@ class TestCasson:
         ]
         assert working == [-1]  # frozen: the conventions differ by one mirror
         assert all(abs(lam) == n for n, (lam, _) in enumerate(pairs))
+
+
+@st.composite
+def small_lattice_triples(draw, max_points=50_000):
+    """Pairwise coprime 2 <= p < q < r with (p-1)(q-1)(r-1) <= max_points.
+
+    q and r step up from their drawn values to the next value coprime to the
+    components before them; the few steps that overshoot the bound are
+    filtered out.
+    """
+    p = draw(st.integers(2, 36))
+    q = draw(st.integers(p + 1, isqrt(max_points // (p - 1))))
+    while gcd(p, q) != 1:
+        q += 1
+    r = draw(st.integers(q + 1, max(q + 1, max_points // ((p - 1) * (q - 1)) + 1)))
+    while gcd(p, r) != 1 or gcd(q, r) != 1:
+        r += 1
+    assume((p - 1) * (q - 1) * (r - 1) <= max_points)
+    return validate_triple(p, q, r)
+
+
+def assert_rokhlin(t):
+    assert (mubar(brieskorn_plumbing(t)).mubar - casson_brieskorn(t)) % 2 == 0, t
+
+
+class TestRokhlin:
+    """mu-bar = lambda (mod 2) for Brieskorn spheres.
+
+    The plumbing side (tree kernel, Wu class) and the Milnor-fiber side
+    (lattice count) share no code, so each checks the other.
+    """
+
+    @settings(deadline=None, max_examples=200)
+    @given(small_lattice_triples())
+    @example(validate_triple(2, 3, 5))
+    def test_random_triples(self, t):
+        assert_rokhlin(t)
+
+    def test_family_members(self):
+        for spec in FAMILIES.values():
+            for n in range(1, 11):
+                if spec.admissible(n):
+                    assert_rokhlin(spec.triple_of(n))

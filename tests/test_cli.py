@@ -115,6 +115,44 @@ class TestInfoVertexCap:
             assert err == "" and out.startswith(f"triple: Sigma({','.join(triple)})")
 
 
+class TestInfoCassonCap:
+    # the triple from the earlier report of `info --casson` never ending:
+    # 458 plumbing vertices, about 10**29 lattice points
+    HUGE = ("3787324501", "4869338171", "5781183222")
+
+    def test_cap_boundary(self, capsys, monkeypatch):
+        counts = []
+        count = report_mod.casson_brieskorn
+        monkeypatch.setattr(report_mod, "casson_brieskorn", lambda t: counts.append(t) or count(t))
+        points = 1 * 4 * 6  # Sigma(2,5,7)
+        monkeypatch.setattr(cli, "MAX_CASSON_POINTS", points)
+        code, out, err = run(capsys, "info", "2", "5", "7", "--casson", "--json")
+        assert code == 0 and err == "" and len(counts) == 1
+        assert json.loads(out)["casson"] == count(validate_triple(2, 5, 7))
+        monkeypatch.setattr(cli, "MAX_CASSON_POINTS", points - 1)
+        code, out, err = run(capsys, "info", "2", "5", "7", "--casson")
+        assert (code, out, len(counts)) == (2, "", 1)
+        assert err == f"error: Sigma(2,5,7) has more than {points - 1} lattice points, the cap for --casson\n"
+        # without --casson this triple is not counted, so nothing is refused
+        code, out, err = run(capsys, "info", "2", "5", "7")
+        assert code == 0 and "casson: skipped" in out and len(counts) == 1
+
+    def test_documented_cap(self):
+        # the largest automatic count: Sigma(2,3,599983) sits at the vertex cap
+        assert not star_exceeds(seifert_invariants(validate_triple(2, 3, 599983)), cli.MAX_INFO_VERTICES)
+        assert 1 * 2 * (599983 - 1) < cli.MAX_CASSON_POINTS
+        # the largest benchmark `info` triple
+        assert 2 * 297 * 2086 < cli.MAX_CASSON_POINTS
+
+    def test_huge_count_refused_within_a_second(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "info", *self.HUGE, "--casson")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: Sigma({','.join(self.HUGE)}) has more than ")
+        assert err.count("\n") == 1
+
+
 JSON_INTS = st.integers() | st.integers(-(10**80), 10**80) | st.sampled_from([0, -1, 2**63, -(2**64)])
 JSON_LISTS = st.recursive(
     st.lists(JSON_INTS, max_size=6), lambda inner: st.lists(inner, min_size=1, max_size=4), max_leaves=24
@@ -195,6 +233,33 @@ class TestFamily:
             assert main(["family", "thm2-2a", "1", "4", *fmt]) == 0
         assert len(written) == 4
         assert all(a < b for a, b in zip(written, written[1:]))
+
+    @pytest.mark.parametrize("fmt", [[], ["--csv"], ["--json"]])
+    def test_vertex_cap_boundary(self, capsys, monkeypatch, fmt):
+        # thm1-even2 member n has n + 5 vertices; members 1..3 fit under 8
+        code, expected, _ = run(capsys, "family", "thm1-even2", "1", "3", *fmt)
+        assert code == 0
+        if not fmt:
+            expected = expected[: expected.index("checked ")]
+        builds = []
+        build = report_mod.brieskorn_plumbing
+        monkeypatch.setattr(report_mod, "brieskorn_plumbing", lambda t: builds.append(t) or build(t))
+        monkeypatch.setattr(cli, "MAX_INFO_VERTICES", 8)
+        code, out, err = run(capsys, "family", "thm1-even2", "1", "5", *fmt)
+        assert (code, out) == (2, expected)
+        assert err == "error: thm1-even2 n=4: more than 8 plumbing vertices, the cap for family\n"
+        assert [t.components for t in builds] == [(2, 7, 19), (2, 11, 31), (2, 15, 43)]
+
+    def test_documented_vertex_cap(self, capsys):
+        spec = brieskorn.FAMILIES["thm1-even2"]
+        at_cap = seifert_invariants(spec.triple_of(cli.MAX_INFO_VERTICES - 5))
+        assert not star_exceeds(at_cap, cli.MAX_INFO_VERTICES)
+        assert star_exceeds(at_cap, cli.MAX_INFO_VERTICES - 1)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "family", "thm1-even2", "100000", "100000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: thm1-even2 n=100000: more than 100000 plumbing vertices, the cap for family\n"
 
     def test_claim_failure_exit_1(self, capsys, monkeypatch):
         import copy
@@ -357,6 +422,13 @@ class TestReplay:
         code, _, err = run(capsys, "replay", str(path), "--trace")
         assert code == 1
         assert err.startswith("replay failed: ") and err.count("\n") == 1
+
+    def test_zero_move_trace_has_no_blank_line(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        empty = {"labels": [], "matrix": []}
+        path.write_text(json.dumps({"name": "x", "initial": empty, "moves": [], "expect": empty}))
+        assert run(capsys, "replay", str(path), "--trace") == (0, "replay ok: x (0 moves)\n", "")
+        assert run(capsys, "replay", str(path)) == (0, "replay ok: x (0 moves)\n", "")
 
 
 SCRIPT_KEYS = (
