@@ -213,7 +213,12 @@ def _sweep(spec: FamilySpec, ns: range, max_vertices: int):
     for n in ns:
         if not spec.admissible(n):
             continue
-        if star_exceeds(seifert_invariants(spec.triple_of(n)), max_vertices):
+        triple = spec.triple_of(n)
+        # the star has at most p + q + r - 2 vertices (see `star_exceeds`), so
+        # most members pass without solving their Seifert data a second time
+        if sum(triple) - 2 > max_vertices and star_exceeds(
+            seifert_invariants(triple), max_vertices
+        ):
             raise UnsupportedFamily(
                 f"{spec.id} n={n}: more than {max_vertices} plumbing vertices, the cap for family"
             )
