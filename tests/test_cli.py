@@ -138,10 +138,10 @@ class TestInfoCassonCap:
         assert code == 0 and "casson: skipped" in out and len(counts) == 1
 
     def test_documented_cap(self):
-        # the largest automatic count: Sigma(2,3,599983) sits at the vertex cap
-        assert not star_exceeds(seifert_invariants(validate_triple(2, 3, 599983)), cli.MAX_INFO_VERTICES)
+        # the largest automatic count, Sigma(2,3,599983) at the vertex cap
+        # (see TestInfoVertexCap), and the largest benchmark `info` count,
+        # Sigma(3,298,2087), stay below the cap
         assert 1 * 2 * (599983 - 1) < cli.MAX_CASSON_POINTS
-        # the largest benchmark `info` triple
         assert 2 * 297 * 2086 < cli.MAX_CASSON_POINTS
 
     def test_huge_count_refused_within_a_second(self, capsys):
