@@ -32,22 +32,17 @@ from .kirby import replay, script_from_json, script_generator, script_to_json
 from .plumbing import star_exceeds
 from .report import (
     CSV_HEADER,
+    MAX_INFO_VERTICES,
     family_notes,
     family_sweep,
     triple_summary,
 )
-from .seifert import seifert_invariants, validate_triple
+from .seifert import validate_triple
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
-
-#: Largest plumbing `info` builds and prints, and largest member `family`
-#: checks, counted from the Seifert legs before anything is built.
-#: Sigma(2,3,599983) has exactly this many vertices; its `info` takes about
-#: 1 s and 64 MB.
-MAX_INFO_VERTICES = 100_000
 
 #: Most lattice points `info --casson` counts, (p-1)(q-1)(r-1), checked
 #: before counting.  The count runs at 4-6 million points/s (Python 3.11,
@@ -104,7 +99,7 @@ def _cmd_info(args) -> int:
     except (NonPositive, NotPairwiseCoprime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not triple.is_degenerate and star_exceeds(seifert_invariants(triple), MAX_INFO_VERTICES):
+    if not triple.is_degenerate and star_exceeds(triple, MAX_INFO_VERTICES):
         print(
             f"error: {triple} has more than {MAX_INFO_VERTICES} plumbing vertices, "
             "the cap for info",
@@ -163,7 +158,7 @@ def _fmt_bool(b: bool) -> str:
 
 
 def _cmd_family(args) -> int:
-    reports = family_sweep(args.id, args.n_from, args.n_to, MAX_INFO_VERTICES)
+    reports = family_sweep(args.id, args.n_from, args.n_to)
     total = failed = 0
     if args.csv:
         print(CSV_HEADER)

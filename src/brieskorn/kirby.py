@@ -48,7 +48,7 @@ from .plumbing import (
     determinant,
     star_exceeds,
 )
-from .seifert import FAMILIES, family, seifert_invariants
+from .seifert import FAMILIES, family
 
 
 class FramedLink:
@@ -631,7 +631,7 @@ def script_generator(family_id: str, n: int) -> KirbyScript:
             raise UnsupportedFamily(f"no scripted reduction for family {family_id}")
         raise UnsupportedFamily(f"unknown family {family_id}")
     triple = family(family_id, n)
-    if star_exceeds(seifert_invariants(triple), MAX_SCRIPT_VERTICES):
+    if star_exceeds(triple, MAX_SCRIPT_VERTICES):
         raise UnsupportedFamily(
             f"{family_id} n={n}: more than {MAX_SCRIPT_VERTICES} vertices, the cap for scripts"
         )

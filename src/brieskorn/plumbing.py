@@ -148,15 +148,17 @@ def hj_expand(a: int, b: int) -> list[int]:
     return out
 
 
-def star_exceeds(s: SeifertData, cap: int) -> bool:
-    """Whether `star_plumbing(s)` has more than ``cap`` vertices, found
-    without building it.  A leg (alpha, beta) has at most alpha - 1 vertices,
-    so most stars pass on that bound alone.  The others count `hj_expand`'s
-    steps and stop one past the cap: O(cap) steps however long the legs are."""
-    if sum(a for a, _ in s.legs) - 2 <= cap:
+def star_exceeds(t: BrieskornTriple, cap: int) -> bool:
+    """Whether `brieskorn_plumbing(t)` has more than ``cap`` vertices, found
+    without building it.  The legs are (p, .), (q, .), (r, .) and a leg
+    (alpha, beta) has at most alpha - 1 vertices, so most triples pass on
+    p + q + r - 2 alone, before their Seifert data is solved.  The others
+    count `hj_expand`'s steps and stop one past the cap: O(cap) steps however
+    long the legs are."""
+    if t.p + t.q + t.r - 2 <= cap:
         return False
     vertices = 1
-    for a, b in s.legs:
+    for a, b in seifert_invariants(t).legs:
         while b and vertices <= cap:
             a, b = b, -(-a // b) * b - a
             vertices += 1

@@ -21,10 +21,16 @@ from .plumbing import (
     graph_invariants,
     star_exceeds,
 )
-from .seifert import FAMILIES, BrieskornTriple, FamilySpec, seifert_invariants
+from .seifert import FAMILIES, BrieskornTriple, FamilySpec
 from .wu import characteristic_numbers, mubar_of
 
 CSV_HEADER = "family,n,p,q,r,vertices,det,neg_def,signature,wu_square,mubar,pass"
+
+#: Largest plumbing `info` builds and prints, and largest member `family`
+#: checks, counted by `star_exceeds` before anything is built.
+#: Sigma(2,3,599983) has exactly this many vertices; its `info` takes about
+#: 1 s and 64 MB.
+MAX_INFO_VERTICES = 100_000
 
 
 class ClaimCheck(NamedTuple):
@@ -196,31 +202,27 @@ def _seifert_checked_invariants(graph: PlumbingGraph) -> Invariants:
     return inv
 
 
-def family_sweep(family_id: str, n_from: int, n_to: int, max_vertices: int):
+def family_sweep(family_id: str, n_from: int, n_to: int):
     """One report per admissible n in [n_from, n_to], each built on demand.
 
     An unknown family raises UnknownFamily here, before any report exists.
-    A member whose plumbing has more than ``max_vertices`` vertices raises
-    UnsupportedFamily when the sweep reaches it, before its plumbing is built.
+    A member above `MAX_INFO_VERTICES` raises UnsupportedFamily when the sweep
+    reaches it, before its plumbing is built.
     """
     spec = FAMILIES.get(family_id)
     if spec is None:
         raise UnknownFamily(family_id)
-    return _sweep(spec, range(n_from, n_to + 1), max_vertices)
+    return _sweep(spec, range(n_from, n_to + 1))
 
 
-def _sweep(spec: FamilySpec, ns: range, max_vertices: int):
+def _sweep(spec: FamilySpec, ns: range):
     for n in ns:
         if not spec.admissible(n):
             continue
-        triple = spec.triple_of(n)
-        # the star has at most p + q + r - 2 vertices (see `star_exceeds`), so
-        # most members pass without solving their Seifert data a second time
-        if sum(triple) - 2 > max_vertices and star_exceeds(
-            seifert_invariants(triple), max_vertices
-        ):
+        if star_exceeds(spec.triple_of(n), MAX_INFO_VERTICES):
             raise UnsupportedFamily(
-                f"{spec.id} n={n}: more than {max_vertices} plumbing vertices, the cap for family"
+                f"{spec.id} n={n}: more than {MAX_INFO_VERTICES} plumbing vertices, "
+                "the cap for family"
             )
         yield build_report(spec.id, n)
 

@@ -23,7 +23,7 @@ from brieskorn.errors import ScriptFormatError
 from brieskorn.kirby import FramedLink, script_from_json, script_generator
 from brieskorn.plumbing import IntMatrix, brieskorn_plumbing, star_exceeds
 from brieskorn.report import CSV_HEADER, triple_summary
-from brieskorn.seifert import seifert_invariants, validate_triple
+from brieskorn.seifert import validate_triple
 
 
 def run(capsys, *argv):
@@ -84,10 +84,10 @@ class TestInfoVertexCap:
 
     def test_documented_cap(self, capsys):
         # Sigma(2,3,6n+1) has n + 3 vertices: the README's example sits at the cap
-        at_cap = seifert_invariants(validate_triple(2, 3, 599983))
-        assert not star_exceeds(at_cap, cli.MAX_INFO_VERTICES)
-        assert star_exceeds(at_cap, cli.MAX_INFO_VERTICES - 1)
-        assert star_exceeds(seifert_invariants(validate_triple(2, 3, 599989)), cli.MAX_INFO_VERTICES)
+        at_cap = validate_triple(2, 3, 599983)
+        assert not star_exceeds(at_cap, report_mod.MAX_INFO_VERTICES)
+        assert star_exceeds(at_cap, report_mod.MAX_INFO_VERTICES - 1)
+        assert star_exceeds(validate_triple(2, 3, 599989), report_mod.MAX_INFO_VERTICES)
         code, out, err = run(capsys, "info", "2", "3", "599989")
         assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
@@ -244,7 +244,7 @@ class TestFamily:
         builds = []
         build = report_mod.brieskorn_plumbing
         monkeypatch.setattr(report_mod, "brieskorn_plumbing", lambda t: builds.append(t) or build(t))
-        monkeypatch.setattr(cli, "MAX_INFO_VERTICES", 8)
+        monkeypatch.setattr(report_mod, "MAX_INFO_VERTICES", 8)
         code, out, err = run(capsys, "family", "thm1-even2", "1", "5", *fmt)
         assert (code, out) == (2, expected)
         assert err == "error: thm1-even2 n=4: more than 8 plumbing vertices, the cap for family\n"
@@ -252,9 +252,9 @@ class TestFamily:
 
     def test_documented_vertex_cap(self, capsys):
         spec = brieskorn.FAMILIES["thm1-even2"]
-        at_cap = seifert_invariants(spec.triple_of(cli.MAX_INFO_VERTICES - 5))
-        assert not star_exceeds(at_cap, cli.MAX_INFO_VERTICES)
-        assert star_exceeds(at_cap, cli.MAX_INFO_VERTICES - 1)
+        at_cap = spec.triple_of(report_mod.MAX_INFO_VERTICES - 5)
+        assert not star_exceeds(at_cap, report_mod.MAX_INFO_VERTICES)
+        assert star_exceeds(at_cap, report_mod.MAX_INFO_VERTICES - 1)
         start = time.perf_counter()
         code, out, err = run(capsys, "family", "thm1-even2", "100000", "100000")
         assert time.perf_counter() - start < 1

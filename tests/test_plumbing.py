@@ -132,11 +132,10 @@ class TestStarPlumbing:
             return
         if t.is_degenerate:
             return
-        s = seifert_invariants(t)
-        vertices = star_plumbing(s).vertex_count
+        vertices = star_plumbing(seifert_invariants(t)).vertex_count
         assert vertices <= p + q + r - 2
-        assert not star_exceeds(s, vertices) and star_exceeds(s, vertices - 1)
-        assert star_exceeds(s, cap) == (vertices > cap)
+        assert not star_exceeds(t, vertices) and star_exceeds(t, vertices - 1)
+        assert star_exceeds(t, cap) == (vertices > cap)
 
 
 class TestIntersectionMatrix:

@@ -68,16 +68,16 @@ class TestBuildReport:
 
 class TestSweep:
     def test_al_family_yields_odd_rows_only(self):
-        reports = list(family_sweep("al-2", 1, 9, max_vertices=100))
+        reports = list(family_sweep("al-2", 1, 9))
         assert [rep.n for rep in reports] == [1, 3, 5, 7, 9]
         assert all(rep.mubar != 0 and rep.passed for rep in reports)
 
     def test_singleton_sweep_single_row(self):
-        reports = list(family_sweep("thm2-single25", 1, 100, max_vertices=100))
+        reports = list(family_sweep("thm2-single25", 1, 100))
         assert len(reports) == 1 and reports[0].n == 1
 
     def test_empty_sweep(self):
-        assert list(family_sweep("al-2", 2, 2, max_vertices=100)) == []
+        assert list(family_sweep("al-2", 2, 2)) == []
 
 
 class TestSerialization:

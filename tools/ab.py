@@ -1,7 +1,7 @@
 """A/B the benchmark between two checkouts, in alternating pairs of runs.
 
     python3 tools/ab.py PARENT CHANGE [--workloads sweep scripts info]
-        [--seeds 11 12 13 14 15 16] [--seconds 30] [--raw FILE]
+        [--seeds 11 12 13 14 15 16] [--seconds 30]
 
 For each workload and seed, runs ``perfbench/run.py --trace 0`` once in each
 checkout (from its root, so each imports its own ``src/``).  The first pair
@@ -14,8 +14,8 @@ per workload and end-to-end metric of CHANGE's ``BENCHMARK.json``:
 * in how many pairs CHANGE was better, and in how many the two were equal;
 
 then every ``peak_rss_mb`` reading with the resident MB it is on top of (the
-harness's note), and the failed calls.  ``--raw`` also writes one JSON line
-per run.  Stdlib only; nothing is written into either checkout but what the
+harness's note), and the failed calls.  Each run's JSON goes to stderr as
+it ends.  Stdlib only; nothing is written into either checkout but what the
 harness itself writes there.
 """
 
@@ -87,32 +87,22 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=["sweep", "scripts", "info"])
     parser.add_argument("--seeds", nargs="+", type=int, default=list(range(11, 17)))
     parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--raw", metavar="FILE", help="also write one JSON line per run")
     args = parser.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
-    raw = open(args.raw, "w", encoding="utf-8") if args.raw else None
-    try:
-        for workload in args.workloads:
-            pairs = []
-            for i, seed in enumerate(args.seeds):
-                sides = {}
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    root = args.parent if side == "parent" else args.change
-                    sides[side] = one_run(root, workload, seed, args.seconds)
-                    print(f"{workload} seed {seed} {side}: {json.dumps(sides[side])}",
-                          file=sys.stderr, flush=True)
-                    if raw:
-                        raw.write(json.dumps({"workload": workload, "seed": seed, "side": side,
-                                              "first": order[0], **sides[side]}) + "\n")
-                        raw.flush()
-                pairs.append((sides["parent"], sides["change"]))
-            report(workload, pairs, metrics)
-    finally:
-        if raw:
-            raw.close()
+    for workload in args.workloads:
+        pairs = []
+        for i, seed in enumerate(args.seeds):
+            sides = {}
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                root = args.parent if side == "parent" else args.change
+                sides[side] = one_run(root, workload, seed, args.seconds)
+                print(f"{workload} seed {seed} {side}: {json.dumps(sides[side])}",
+                      file=sys.stderr, flush=True)
+            pairs.append((sides["parent"], sides["change"]))
+        report(workload, pairs, metrics)
     return 0
 
 
