@@ -21,7 +21,7 @@ from .plumbing import (
     graph_invariants,
     star_exceeds,
 )
-from .seifert import FAMILIES, BrieskornTriple, FamilySpec
+from .seifert import FAMILIES, BrieskornTriple
 from .wu import characteristic_numbers, mubar_of
 
 CSV_HEADER = "family,n,p,q,r,vertices,det,neg_def,signature,wu_square,mubar,pass"
@@ -147,11 +147,20 @@ def _evaluate(claim: dict, n: int, actual) -> tuple[object, bool]:
 
 
 def build_report(family_id: str, n: int) -> VerificationReport:
-    """Compute all invariants of family member n and check the claim table."""
+    """Compute all invariants of family member n and check the claim table.
+
+    A member above `MAX_INFO_VERTICES` raises UnsupportedFamily before its
+    plumbing is built.
+    """
     spec = FAMILIES.get(family_id)
     if spec is None:
         raise UnknownFamily(family_id)
     triple = spec.triple_of(n)
+    if star_exceeds(triple, MAX_INFO_VERTICES):
+        raise UnsupportedFamily(
+            f"{family_id} n={n}: more than {MAX_INFO_VERTICES} plumbing vertices, "
+            "the cap for family"
+        )
     graph = brieskorn_plumbing(triple)
     inv = _seifert_checked_invariants(graph)
     # not via wu.mubar_of, so that a failure of the unimodularity or
@@ -206,25 +215,11 @@ def family_sweep(family_id: str, n_from: int, n_to: int):
     """One report per admissible n in [n_from, n_to], each built on demand.
 
     An unknown family raises UnknownFamily here, before any report exists.
-    A member above `MAX_INFO_VERTICES` raises UnsupportedFamily when the sweep
-    reaches it, before its plumbing is built.
     """
     spec = FAMILIES.get(family_id)
     if spec is None:
         raise UnknownFamily(family_id)
-    return _sweep(spec, range(n_from, n_to + 1))
-
-
-def _sweep(spec: FamilySpec, ns: range):
-    for n in ns:
-        if not spec.admissible(n):
-            continue
-        if star_exceeds(spec.triple_of(n), MAX_INFO_VERTICES):
-            raise UnsupportedFamily(
-                f"{spec.id} n={n}: more than {MAX_INFO_VERTICES} plumbing vertices, "
-                "the cap for family"
-            )
-        yield build_report(spec.id, n)
+    return (build_report(family_id, n) for n in range(n_from, n_to + 1) if spec.admissible(n))
 
 
 def triple_summary(t: BrieskornTriple, with_casson: bool) -> dict:
