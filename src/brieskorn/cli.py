@@ -12,22 +12,13 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 usage/input error,
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
+from types import SimpleNamespace
 
-from .errors import (
-    BrieskornError,
-    FinalMismatch,
-    InadmissibleN,
-    NonPositive,
-    NotPairwiseCoprime,
-    ScriptFormatError,
-    StepIllegal,
-    UnknownFamily,
-    UnsupportedFamily,
-)
+from .errors import BrieskornError, FinalMismatch, ScriptFormatError, StepIllegal
 from .kirby import replay, script_from_json, script_generator, script_to_json
 from .plumbing import star_exceeds
 from .report import (
@@ -50,55 +41,90 @@ EXIT_PARSE = 3
 MAX_CASSON_POINTS = 50_000_000
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="brieskorn",
-        description="Exact invariants and linking-matrix surgery scripts "
-        "for Brieskorn sphere families.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_info = sub.add_parser("info", help="invariants of a single triple")
-    p_info.add_argument("p", type=int)
-    p_info.add_argument("q", type=int)
-    p_info.add_argument("r", type=int)
-    p_info.add_argument("--json", action="store_true", help="emit one JSON object")
-    p_info.add_argument(
-        "--casson",
-        action="store_true",
-        help="force the lattice-point Casson computation (automatic for "
-        "Sigma(2,3,6n+1), where it is cheap)",
-    )
-
-    p_family = sub.add_parser("family", help="sweep a built-in family against its claim table")
-    p_family.add_argument("id")
-    p_family.add_argument("n_from", type=int)
-    p_family.add_argument("n_to", type=int)
-    fmt = p_family.add_mutually_exclusive_group()
-    fmt.add_argument("--csv", action="store_true", help="CSV rows")
-    fmt.add_argument("--json", action="store_true", help="one JSON object per line")
-
-    p_replay = sub.add_parser("replay", help="replay a move-script file")
-    p_replay.add_argument("file")
-    p_replay.add_argument("--trace", action="store_true", help="JSON-lines step log")
-
-    p_gen = sub.add_parser("gen-script", help="generate a blow-down script for a family member")
-    p_gen.add_argument("id")
-    p_gen.add_argument("n", type=int)
-    p_gen.add_argument("-o", "--output", required=True, metavar="FILE")
-
-    return parser
+_HELP, _OUTPUT, _EXCLUSIVE = ("-h", "--help"), ("-o", "--output"), {"--csv": "json", "--json": "csv"}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse reads these as positionals
+_COMMANDS = (__doc__ or "\n\n").split("\n\n")[1]  # the block above; python -OO drops docstrings
 
 
-_PARSER = _build_parser()  # every run parses once; parse_args leaves it unchanged
+def _fail(message: str):
+    sys.stderr.write(f"usage: brieskorn <command> ... (-h lists them)\nbrieskorn: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _read(token: str, names):
+    """How argparse read one token: None for a positional, else the option
+    it names (None if unknown) and the argument attached to it, or None."""
+    if token[:1] != "-" or token in ("-", "--") or token in names:
+        return (token, None) if token in names else None
+    name, eq, arg = token.partition("=")
+    if eq and name in names:
+        return name, arg
+    if token[1] == "-":  # a long option, or a unique prefix of one
+        hits, arg = [n for n in names if n.startswith(name)], arg if eq else None
+    else:  # a short option and the rest of its token
+        hits, arg = [n for n in names if n == token[:2]], token[2:]
+    if len(hits) > 1:
+        _fail(f"ambiguous option: {token!r} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], arg
+    return None if _NEGATIVE.match(token) or " " in token else (None, None)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and its fields, accepted and refused as argparse did.
+    -h exits 0, and a bad value or --csv with --json exits 2, where they stand;
+    unknown options and surplus or missing arguments exit 2 at the end."""
+    args, extras, names, todo = SimpleNamespace(), [], _HELP, [("command", str)]
+    read, cut, i, after_positional = [_read(t, names) for t in argv], len(argv), 0, False
+    while i < len(argv):
+        token, opt, i = argv[i], read[i], i + 1
+        if i - 1 == cut:  # the first "--" after the command belongs to a positional next to it
+            if not (todo or after_positional):
+                extras.append(token)
+            continue
+        after_positional = opt is None
+        if opt is None and todo:
+            name, kind = todo.pop(0)
+            try:
+                setattr(args, name, kind(token))
+            except ValueError:
+                _fail(f"argument {name}: invalid int value: {token!r}")
+            if name == "command":
+                if token not in _GRAMMAR:
+                    _fail(f"argument command: invalid choice: {token!r}")
+                _, positionals, options = _GRAMMAR[token]
+                todo, names = list(positionals.items()), _HELP + options
+                vars(args).update({o[2:]: None if o in _OUTPUT else False for o in options if o[1] == "-"})
+                cut = argv.index("--", i) if "--" in argv[i:] else len(argv)
+                read[i:] = [_read(t, names) for t in argv[i:cut]] + [None] * (len(argv) - cut)
+        elif opt is None or opt[0] is None:
+            extras.append(token)
+        else:
+            chain, arg = [opt[0]], opt[1]
+            while arg is not None and chain[-1] not in _OUTPUT:  # -hh is -h -h, -hoF is -h -o F
+                if chain[-1][1] == "-" or "-" + arg[:1] not in names:
+                    _fail(f"argument {chain[-1]}: ignored explicit argument {arg!r}")
+                chain, arg = chain + ["-" + arg[0]], arg[1:] or None
+            if chain[-1] in _OUTPUT and arg is None:
+                if i >= cut or read[i] is not None:
+                    _fail("argument -o/--output: expected one argument")
+                arg, i = argv[i], i + 1
+            for name in chain:
+                if name in _HELP:
+                    print(_COMMANDS)
+                    raise SystemExit(EXIT_OK)
+                if name in _EXCLUSIVE and getattr(args, _EXCLUSIVE[name], False):
+                    _fail(f"argument {name}: not allowed with argument --{_EXCLUSIVE[name]}")
+                setattr(args, "output" if name in _OUTPUT else name[2:], arg if name in _OUTPUT else True)
+    missing = [name for name, _ in todo] + ["-o/--output"] * (getattr(args, "output", "") is None)
+    if missing or extras:
+        _fail(f"the following arguments are required: {', '.join(missing)}" if missing
+              else f"unrecognized arguments: {' '.join(map(repr, extras))}")
+    return args
 
 
 def _cmd_info(args) -> int:
-    try:
-        triple = validate_triple(args.p, args.q, args.r)
-    except (NonPositive, NotPairwiseCoprime) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    triple = validate_triple(args.p, args.q, args.r)
     if not triple.is_degenerate and star_exceeds(triple, MAX_INFO_VERTICES):
         print(
             f"error: {triple} has more than {MAX_INFO_VERTICES} plumbing vertices, "
@@ -228,11 +254,7 @@ def _replay_and_print(script, trace_steps: bool) -> int:
 
 
 def _cmd_gen_script(args) -> int:
-    try:
-        script = script_generator(args.id, args.n)
-    except (UnknownFamily, UnsupportedFamily, InadmissibleN) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    script = script_generator(args.id, args.n)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(script_to_json(script))
@@ -244,21 +266,23 @@ def _cmd_gen_script(args) -> int:
     return EXIT_OK
 
 
+#: The Commands block above as data: each command's handler, positionals with
+#: their types, and options.  tests/test_cli.py holds the argparse oracle.
+_GRAMMAR = {
+    "info": (_cmd_info, {"p": int, "q": int, "r": int}, ("--json", "--casson")),
+    "family": (_cmd_family, {"id": str, "n_from": int, "n_to": int}, ("--csv", "--json")),
+    "replay": (_cmd_replay, {"file": str}, ("--trace",)),
+    "gen-script": (_cmd_gen_script, {"id": str, "n": int}, ("-o", "--output")),
+}
+
+
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        if args.command == "info":
-            return _cmd_info(args)
-        if args.command == "family":
-            return _cmd_family(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        if args.command == "gen-script":
-            return _cmd_gen_script(args)
+        return _GRAMMAR[args.command][0](args)
     except BrieskornError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -629,7 +629,7 @@ def script_generator(family_id: str, n: int) -> KirbyScript:
     if kind is None:
         if family_id in FAMILIES:
             raise UnsupportedFamily(f"no scripted reduction for family {family_id}")
-        raise UnsupportedFamily(f"unknown family {family_id}")
+        raise UnsupportedFamily(f"unknown family {family_id!r}; scripts exist for {', '.join(SCRIPTED_FAMILIES)}")
     triple = family(family_id, n)
     if star_exceeds(triple, MAX_SCRIPT_VERTICES):
         raise UnsupportedFamily(

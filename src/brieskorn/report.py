@@ -8,12 +8,12 @@ carries every computed invariant and the claim-by-claim comparison.
 from __future__ import annotations
 
 import json
+import os
 from functools import lru_cache
-from importlib import resources
 from typing import NamedTuple
 
 from .casson import casson_brieskorn
-from .errors import UnknownFamily, UnsupportedFamily
+from .errors import UnsupportedFamily
 from .plumbing import (
     Invariants,
     PlumbingGraph,
@@ -21,7 +21,7 @@ from .plumbing import (
     graph_invariants,
     star_exceeds,
 )
-from .seifert import FAMILIES, BrieskornTriple
+from .seifert import BrieskornTriple, family_spec
 from .wu import characteristic_numbers, mubar_of
 
 CSV_HEADER = "family,n,p,q,r,vertices,det,neg_def,signature,wu_square,mubar,pass"
@@ -111,8 +111,8 @@ def _csv_bool(b: bool) -> str:
 
 @lru_cache(maxsize=1)
 def load_claims() -> dict:
-    text = resources.files("brieskorn.data").joinpath("claims.json").read_text()
-    return json.loads(text)
+    with open(os.path.join(os.path.dirname(__file__), "data", "claims.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def family_notes(family_id: str, n: int) -> list[str]:
@@ -152,10 +152,7 @@ def build_report(family_id: str, n: int) -> VerificationReport:
     A member above `MAX_INFO_VERTICES` raises UnsupportedFamily before its
     plumbing is built.
     """
-    spec = FAMILIES.get(family_id)
-    if spec is None:
-        raise UnknownFamily(family_id)
-    triple = spec.triple_of(n)
+    triple = family_spec(family_id).triple_of(n)
     if star_exceeds(triple, MAX_INFO_VERTICES):
         raise UnsupportedFamily(
             f"{family_id} n={n}: more than {MAX_INFO_VERTICES} plumbing vertices, "
@@ -216,9 +213,7 @@ def family_sweep(family_id: str, n_from: int, n_to: int):
 
     An unknown family raises UnknownFamily here, before any report exists.
     """
-    spec = FAMILIES.get(family_id)
-    if spec is None:
-        raise UnknownFamily(family_id)
+    spec = family_spec(family_id)
     return (build_report(family_id, n) for n in range(n_from, n_to + 1) if spec.admissible(n))
 
 

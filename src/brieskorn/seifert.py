@@ -166,9 +166,14 @@ FAMILIES: dict[str, FamilySpec] = {
 }
 
 
-def family(family_id: str, n: int) -> BrieskornTriple:
-    """Triple of the built-in family ``family_id`` at parameter n."""
+def family_spec(family_id: str) -> FamilySpec:
+    """The built-in family ``family_id``; UnknownFamily names the known ids."""
     spec = FAMILIES.get(family_id)
     if spec is None:
-        raise UnknownFamily(family_id)
-    return spec.triple_of(n)
+        raise UnknownFamily(f"unknown family {family_id!r}; the families are {', '.join(FAMILIES)}")
+    return spec
+
+
+def family(family_id: str, n: int) -> BrieskornTriple:
+    """Triple of the built-in family ``family_id`` at parameter n."""
+    return family_spec(family_id).triple_of(n)

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -210,8 +209,9 @@ class TestFamily:
         assert all(int(r.split(",")[10]) != 0 for r in rows)  # mubar column
 
     def test_unknown_family_exit_2(self, capsys):
-        code, _, err = run(capsys, "family", "nosuch", "1", "2")
-        assert code == 2
+        code, out, err = run(capsys, "family", "nosuch", "1", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown family 'nosuch'; the families are {', '.join(brieskorn.FAMILIES)}\n"
         code, out, err = run(capsys, "family", "nosuch", "1", "2", "--csv")
         assert (code, out) == (2, "")
         assert err.startswith("error:")
@@ -599,6 +599,12 @@ class TestGenScript:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_file.exists()
 
+    def test_unknown_family_exit_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, "gen-script", "nosuch", "1", "-o", str(tmp_path / "x"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown family 'nosuch'; scripts exist for thm1-even2, ")
+        assert err.count("\n") == 1 and not (tmp_path / "x").exists()
+
     def test_unsupported_family_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen-script", "al-2", "1", "-o", str(tmp_path / "x"))
         assert code == 2
@@ -633,16 +639,27 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
-    def test_main_parses_with_the_import_time_parser(self, capsys):
-        parse = mock.Mock(wraps=cli._PARSER.parse_args)
-        with (
-            mock.patch.object(cli._PARSER, "parse_args", parse),
-            mock.patch.object(cli, "_build_parser", side_effect=AssertionError),
-            mock.patch.object(argparse.ArgumentParser, "__init__", side_effect=AssertionError),
-        ):
-            code, out, _ = run(capsys, "info", "2", "3", "7")
-        assert code == 0 and "mubar: 1" in out
-        parse.assert_called_once_with(["info", "2", "3", "7"])
+    def test_startup_loads_no_argparse(self, tmp_path):
+        # -S: a site preload (a .pth file) must not be what keeps these out
+        src = str(Path(brieskorn.__file__).resolve().parent.parent)
+        script = str(tmp_path / "s.json")
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "SLOW = {'argparse', 'gettext', 'locale', 'importlib.resources'}\n"
+            "import brieskorn.cli\n"
+            "loaded = [sorted(SLOW & set(sys.modules))]\n"
+            "# lazy imports would hide layers from the tracer and move memory into the calls\n"
+            "assert {'brieskorn.kirby', 'brieskorn.casson', 'fractions'} <= set(sys.modules)\n"
+            "for argv in (['info', '2', '3', '7', '--casson'], ['family', 'thm1-even2', '1', '2', '--csv'],\n"
+            f"             ['gen-script', 'thm1-even2', '1', '-o', {script!r}], ['replay', {script!r}, '--trace']):\n"
+            "    assert brieskorn.cli.main(argv) == 0\n"
+            "    loaded.append(sorted(SLOW & set(sys.modules)))\n"
+            "print(loaded, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[[], [], [], [], []]\n"
 
     def test_usage_error_exit_2(self):
         proc = subprocess.run(
@@ -651,3 +668,129 @@ class TestConsoleEntry:
             text=True,
         )
         assert proc.returncode == 2
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The argparse spec the CLI was parsed with; `cli._parse` must accept and
+    refuse what it does, with the same exit codes and fields."""
+    parser = argparse.ArgumentParser(prog="brieskorn")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_info = sub.add_parser("info")
+    for name in ("p", "q", "r"):
+        p_info.add_argument(name, type=int)
+    p_info.add_argument("--json", action="store_true")
+    p_info.add_argument("--casson", action="store_true")
+    p_family = sub.add_parser("family")
+    p_family.add_argument("id")
+    p_family.add_argument("n_from", type=int)
+    p_family.add_argument("n_to", type=int)
+    fmt = p_family.add_mutually_exclusive_group()
+    fmt.add_argument("--csv", action="store_true")
+    fmt.add_argument("--json", action="store_true")
+    p_replay = sub.add_parser("replay")
+    p_replay.add_argument("file")
+    p_replay.add_argument("--trace", action="store_true")
+    p_gen = sub.add_parser("gen-script")
+    p_gen.add_argument("id")
+    p_gen.add_argument("n", type=int)
+    p_gen.add_argument("-o", "--output", required=True)
+    return parser
+
+
+ORACLE = argparse_oracle()
+
+
+def parsed(parse, argv):
+    """(exit code or "accepted", fields, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            fields = vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code, None, out.getvalue(), err.getvalue()
+    return "accepted", fields, out.getvalue(), err.getvalue()
+
+
+def check_against_oracle(argv):
+    want, want_fields, _, _ = parsed(ORACLE.parse_args, argv)
+    got, fields, out, err = parsed(cli._parse, argv)
+    if want == "accepted" and any(type(v) is list for v in want_fields.values()):
+        # argparse 3.11 strips "--" out of every positional's strings, so a
+        # literal "--" after the first one becomes [] where an int belongs,
+        # and the command fails with a traceback; the parser refuses it
+        want, want_fields = 2, None
+    assert (got, fields) == (want, want_fields), argv
+    if got == 0:
+        assert (out, err) == (cli._COMMANDS + "\n", "")
+    elif got == 2:
+        usage, error = err.splitlines()
+        assert out == "" and usage.startswith("usage: brieskorn ") and error.startswith("brieskorn: error: ")
+    return got
+
+
+ARGV_TOKENS = (
+    st.sampled_from([
+        "info", "family", "replay", "gen-script", "thm1-even2", "f.json", "", "-", "--", "x", "1.5",
+        "-h", "--help", "--he", "-hh", "-hx", "-ho", "-hoF", "-h=", "--help=x", "--=x",
+        "--json", "--js", "--json=1", "--casson", "--cas", "--csv", "--c", "--trace", "--tr",
+        "-o", "-oF", "-o=F", "-o=", "--output", "--output=F", "--out=F", "--out", "--outputs",
+        "--bogus", "-x", "-1", "-1.5", "-.5", "-1e3", "-1 2", "-x y", " 7", "1_000", "+3", "9" * 4301,
+    ])
+    | st.integers(-50, 50).map(str)
+    | st.text(alphabet="-=hojcastr1. \n", max_size=6)
+)
+
+
+class TestArgvOracle:
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.lists(ARGV_TOKENS, max_size=1),
+        st.sampled_from(["info", "family", "replay", "gen-script", "inf", "--", "-h", "x"]),
+        st.lists(ARGV_TOKENS, max_size=7),
+    )
+    def test_parser_matches_argparse(self, before, command, after):
+        check_against_oracle(before + [command] + after)
+
+    @pytest.mark.parametrize("argv, code", [
+        # accepted: options anywhere after the command, repeats, prefixes,
+        # -o F / -oF / --output=F, "--", negative numbers as positionals
+        (["info", "--json", "2", "--cas", "3", "--json", "7"], "accepted"),
+        (["info", "-1", "2", "3"], "accepted"),
+        (["info", "--", "-1", "-2", "-3"], "accepted"),
+        (["info", "1", "2", "3", "--"], "accepted"),
+        (["family", "thm1-even2", "1", "2", "--c"], "accepted"),
+        (["gen-script", "-o", "F", "thm1-even2", "1"], "accepted"),
+        (["gen-script", "thm1-even2", "-oF", "1"], "accepted"),
+        (["gen-script", "thm1-even2", "1", "--output=F"], "accepted"),
+        (["gen-script", "thm1-even2", "1", "--out=F", "-o", "G"], "accepted"),
+        (["replay", "-h", "--bogus"], 0),
+        (["--help"], 0),
+        # refused
+        ([], 2), (["--json"], 2), (["nope"], 2), (["--", "info", "1", "2", "3"], 2),
+        (["info", "1", "2"], 2), (["info", "1", "2", "3", "4"], 2),
+        (["info", "1", "2", "3", "--bogus"], 2), (["info", "1", "2", "x"], 2),
+        (["info", "1", "2", "9" * 4301], 2), (["info", "1", "2", "3", "--json=1"], 2),
+        (["info", "1", "2", "3", "--json", "--"], 2), (["info", "x", "-h"], 2),
+        (["family", "thm1-even2", "1", "2", "--csv", "--json"], 2),
+        (["gen-script", "thm1-even2", "1"], 2), (["gen-script", "thm1-even2", "1", "-o"], 2),
+        (["gen-script", "thm1-even2", "1", "-o", "--", "F"], 2),
+        (["replay", "f", "--=x"], 2),
+    ])
+    def test_documented_cases(self, argv, code):
+        assert check_against_oracle(argv) == code
+
+    def test_argparse_list_field_is_refused(self):
+        assert parsed(ORACLE.parse_args, ["info", "1", "--", "--", "3"])[1]["q"] == []
+        assert check_against_oracle(["info", "1", "--", "--", "3"]) == 2
+
+    def test_help_is_the_commands_block(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["info", "--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Commands:"
+        # the block names every command with its positionals and options
+        for line, (command, (_, positionals, options)) in zip(lines[1:], cli._GRAMMAR.items(), strict=True):
+            assert line.split()[0] == command
+            assert line.count("<") == len(positionals) + ("-o" in options)
+            assert all(option in line for option in options if option != "--output")

@@ -12,6 +12,9 @@ per workload and end-to-end metric of CHANGE's ``BENCHMARK.json``:
 * each side's median and quartiles over the pairs;
 * the change in the medians, against the metric's bound;
 * in how many pairs CHANGE was better, and in how many the two were equal;
+* the same for the uncalibrated figure of each timed metric (the harness's
+  ``uncalibrated:`` note: process CPU time not rescaled by speed.py), since
+  the per-run speed scale can turn a small difference around;
 
 then every ``peak_rss_mb`` reading with the resident MB it is on top of (the
 harness's note), and the failed calls.  Each run's JSON goes to stderr as
@@ -30,6 +33,7 @@ import subprocess
 import sys
 
 RSS_NOTE = re.compile(r"peak_rss_mb is on top of ([0-9.]+) MB")
+RAW_NOTE = re.compile(r"uncalibrated: (.*); median speed scale")
 
 
 def one_run(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -42,8 +46,10 @@ def one_run(root: str, workload: str, seed: int, seconds: float) -> dict:
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     base = RSS_NOTE.search(done.stdout)
+    raw = RAW_NOTE.search(done.stdout)
     return {
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "raw": dict((k, float(v)) for k, v in (f.split() for f in raw.group(1).split(", "))) if raw else {},
         "failed": result["failed"],
         "attempted": result["attempted"],
         "rss_base": float(base.group(1)) if base else None,
@@ -57,19 +63,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def compare(label: str, a: list[float], b: list[float], higher: bool, bound: str) -> None:
+    """One line: both sides' medians and quartiles, the change, and the wins."""
+    wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+    ties = sum(x == y for x, y in zip(a, b))
+    (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
+    change = (bm - am) / am if am else 0.0
+    print(f"  {label:16} parent {am:.6g} [{a1:.6g}, {a3:.6g}]  change {bm:.6g} "
+          f"[{b1:.6g}, {b3:.6g}]  {change:+.1%}{bound}  better {wins}/{len(a)}, equal {ties}")
+
+
 def report(workload: str, pairs: list[tuple[dict, dict]], metrics: list[dict]) -> None:
     print(f"== {workload}: {len(pairs)} pairs")
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
-        a = [p["metrics"][name] for p, _ in pairs]
-        b = [c["metrics"][name] for _, c in pairs]
-        wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
-        ties = sum(x == y for x, y in zip(a, b))
-        (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
-        change = (bm - am) / am if am else 0.0
-        print(f"  {name:12} parent {am:.6g} [{a1:.6g}, {a3:.6g}]  change {bm:.6g} "
-              f"[{b1:.6g}, {b3:.6g}]  {change:+.1%} (bound {m['bound']:.0%})  "
-              f"better {wins}/{len(pairs)}, equal {ties}")
+        compare(name, [p["metrics"][name] for p, _ in pairs], [c["metrics"][name] for _, c in pairs],
+                higher, f" (bound {m['bound']:.0%})")
+        if all(name in side["raw"] for pair in pairs for side in pair):
+            compare("  uncalibrated", [p["raw"][name] for p, _ in pairs],
+                    [c["raw"][name] for _, c in pairs], higher, "")
     for side, k in (("parent", 0), ("change", 1)):
         readings = " ".join(f"{pair[k]['metrics']['peak_rss_mb']:.4g}/{pair[k]['rss_base']:.5g}"
                             for pair in pairs)
