@@ -100,10 +100,6 @@ class FramedLink:
         except KeyError:
             raise KeyError(f"no component {label!r}") from None
 
-    def index(self, label: str) -> int:
-        self._row(label)
-        return self.labels.index(label)
-
     def framing(self, label: str) -> int:
         return self._row(label).get(label, 0)
 

@@ -8,14 +8,16 @@ negative (Hirzebruch-Jung) continued fraction, all ci >= 2.
 Everything here is exact; no floating point.  On forest-shaped forms, which
 include every plumbing, one leaf-first integer pass (`tree_invariants`) gives
 the determinant, the inertia and the spherical Wu class together; a plumbing
-graph goes straight to it from its weights and edges.  Other matrices take the
-general path: fraction-free (Bareiss) determinants and symmetric elimination
-over the rationals for inertia, with the dense GF(2) Wu solver in `wu`.
+graph goes straight to it from its weights and edges.  A zero pivot below a
+root is cut off there (D. P. Jacobs and V. Trevisan, Linear Algebra Appl. 434
+(2011) 81-88), so the pass is exact on every forest.  `inertia` and
+`wu.wu_class` take forest-shaped matrices only; `determinant` keeps a
+fraction-free (Bareiss) elimination for the others, the linking matrices of
+Kirby moves.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 from math import gcd
 from typing import NamedTuple
@@ -291,6 +293,13 @@ def _eliminate(diag, adj):
         D(v) = w_v * prod D(c) - sum_c a_c^2 * E(c) * prod_{c' != c} D(c')
         E(v) = prod D(c)
     so D/E = w_v - sum_c a_c^2 * E(c)/D(c) is the pivot of v.
+
+    A vertex whose E is 0 (a child has D = 0) is cut: it is not folded into
+    its parent, which then sees neither it nor its subtree.  With the zero
+    child c and edge value a, the block [[0, a], [a, x]] of c and v has
+    inertia (1, 1) and Schur complement b^2 * 0/(-a^2) = 0 on v's parent
+    edge b, whatever x is (Jacobs-Trevisan).  So D stays the determinant of
+    the subtree at v less the subtrees of its cut children.
     """
     n = len(diag)
     d = list(diag)
@@ -310,11 +319,11 @@ def _eliminate(diag, adj):
                     parent[u], edge[u] = v, a
                     order.append(u)
         for v in reversed(order):
-            p = parent[v]
-            yield v, p, edge[v], d[v], e[v]
-            if p >= 0:
-                d[p] = d[p] * d[v] - edge[v] ** 2 * e[v] * e[p]
-                e[p] *= d[v]
+            p, dv, ev = parent[v], d[v], e[v]
+            yield v, p, edge[v], dv, ev
+            if p >= 0 and ev:
+                d[p] = d[p] * dv - edge[v] ** 2 * ev * e[p]
+                e[p] *= dv
 
 
 class Invariants(NamedTuple):
@@ -340,9 +349,12 @@ def tree_invariants(diag, adj) -> Invariants:
     """All of Invariants for a forest in one leaf-first integer pass.
 
     Inertia: the pivots D/E are the diagonal of a congruent matrix, so their
-    signs count n_plus and n_minus (Sylvester); a zero D at a root adds to
-    n_zero.  A zero D below a root leaves no pivot for its parent; then the
-    inertia alone comes from the general `_sylvester_inertia`.
+    signs count n_plus and n_minus (Sylvester); a zero D adds to n_zero.  A
+    cut vertex (E = 0, see `_eliminate`) and one of its zero children form a
+    block of inertia (1, 1): the vertex counts as one negative and that
+    child's zero becomes a positive; its other zero children stay zero.
+    det is the product of D over the roots and the cut vertices (Jacobs and
+    Trevisan, Linear Algebra Appl. 434 (2011) 81-88).
 
     Wu class: the same order solves A w = diag(A) over GF(2).  The reduced
     right-hand side of a vertex always equals its reduced diagonal bit.  An
@@ -353,7 +365,6 @@ def tree_invariants(diag, adj) -> Invariants:
     n = len(diag)
     det = 1
     n_plus = n_minus = n_zero = 0
-    general_inertia = False
     bit = [w & 1 for w in diag]
     pinned = [-1] * n  # the even child that forces a vertex to 0
     order = []
@@ -361,17 +372,20 @@ def tree_invariants(diag, adj) -> Invariants:
     for v, p, a, dv, ev in _eliminate(diag, adj):
         a &= 1  # 0 at a root, so the uses of p = -1 below change nothing
         order.append((v, p, a))
-        if p < 0:
+        if ev == 0:  # cut: v and one zero child form a (1, 1) block
             det *= dv
-        if dv == 0:
-            if p < 0:
-                n_zero += 1
-            else:
-                general_inertia = True
-        elif (dv > 0) == (ev > 0):
-            n_plus += 1
-        else:
             n_minus += 1
+            n_plus += 1
+            n_zero -= 1
+        else:
+            if p < 0:
+                det *= dv
+            if dv == 0:
+                n_zero += 1
+            elif (dv > 0) == (ev > 0):
+                n_plus += 1
+            else:
+                n_minus += 1
         if pinned[v] >= 0:
             continue
         if bit[v]:
@@ -390,13 +404,6 @@ def tree_invariants(diag, adj) -> Invariants:
             elif bit[v]:
                 w[v] = 1 ^ (a & w[p])
         wu = tuple(w)
-    if general_inertia:
-        rows = [[0] * n for _ in range(n)]
-        for v in range(n):
-            rows[v][v] = diag[v]
-            for u, x in adj[v]:
-                rows[v][u] = x
-        n_plus, n_minus, n_zero = _sylvester_inertia(IntMatrix.from_rows(rows))
     return Invariants(det, n_plus, n_minus, n_zero, wu)
 
 
@@ -406,7 +413,7 @@ def graph_invariants(g: PlumbingGraph) -> Invariants:
 
 
 def _bareiss_determinant(m: IntMatrix) -> int:
-    """Fraction-free (Bareiss) elimination over arbitrary-precision ints."""
+    """Bareiss (fraction-free) elimination over arbitrary-precision ints."""
     n = m.n
     if n == 0:
         return 1
@@ -434,115 +441,39 @@ def _bareiss_determinant(m: IntMatrix) -> int:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant; the D/E recursion alone on forest-shaped matrices."""
+    """Exact determinant: the D/E recursion alone on forest-shaped matrices,
+    Bareiss on the others (the linking matrices `kirby.replay` meets)."""
     forest = _forest_structure(m)
     return _bareiss_determinant(m) if forest is None else _forest_determinant(*forest)
 
 
 def _forest_determinant(diag, adj) -> int:
-    """Product over the roots of `_eliminate`'s D: the D/E recursion alone."""
+    """Product of `_eliminate`'s D over the roots and the cut vertices: the
+    D/E recursion alone."""
     det = 1
-    for _, parent, _, d, _ in _eliminate(diag, adj):
-        if parent < 0:
+    for _, parent, _, d, e in _eliminate(diag, adj):
+        if parent < 0 or e == 0:
             det *= d
     return det
 
 
-def inertia(m: IntMatrix) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero); `tree_invariants` on forest-shaped matrices."""
+def _forest_invariants(m: IntMatrix) -> Invariants:
+    """`tree_invariants` of a forest-shaped matrix; ValueError for any other."""
     forest = _forest_structure(m)
     if forest is None:
-        return _sylvester_inertia(m)
-    inv = tree_invariants(*forest)
+        raise ValueError("matrix is not forest-shaped")
+    return tree_invariants(*forest)
+
+
+def inertia(m: IntMatrix) -> tuple[int, int, int]:
+    """(n_plus, n_minus, n_zero) of a forest-shaped matrix, by `tree_invariants`."""
+    inv = _forest_invariants(m)
     return inv.n_plus, inv.n_minus, inv.n_zero
 
 
-def _sylvester_inertia(m: IntMatrix) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero) by symmetric elimination over rationals.
-
-    Sylvester's law: congruence preserves inertia, and each elimination step
-    is a congruence.  Diagonal pivots are preferred low-degree-first (linear
-    work on trees); a 2x2 hyperbolic block [[0,a],[a,0]] contributes (1,1,0).
-    """
-    n = m.n
-    a: dict[int, dict[int, Fraction]] = {}
-    for i in range(n):
-        row = {}
-        for j in range(n):
-            if m.entries[i][j] != 0:
-                row[j] = Fraction(m.entries[i][j])
-        a[i] = row
-    alive = set(range(n))
-    n_pos = n_neg = n_zero = 0
-
-    def set_sym(i: int, j: int, value: Fraction):
-        if value:
-            a[i][j] = value
-            a[j][i] = value
-        else:
-            a[i].pop(j, None)
-            a[j].pop(i, None)
-
-    while alive:
-        # prefer a diagonal pivot of minimal off-diagonal degree
-        best = None
-        for i in alive:
-            if a[i].get(i):
-                deg = sum(1 for j in a[i] if j != i and j in alive)
-                if best is None or deg < best[0]:
-                    best = (deg, i)
-                    if deg <= 1:
-                        break
-        if best is not None:
-            p = best[1]
-            pivot = a[p][p]
-            if pivot > 0:
-                n_pos += 1
-            else:
-                n_neg += 1
-            alive.discard(p)
-            nbrs = [(i, a[p][i]) for i in list(a[p]) if i != p and i in alive]
-            for x, (i, vpi) in enumerate(nbrs):
-                for j, vpj in nbrs[x:]:
-                    set_sym(i, j, a[i].get(j, Fraction(0)) - vpi * vpj / pivot)
-                a[i].pop(p, None)
-            continue
-        # all live diagonals are zero: find a hyperbolic pair
-        pair = None
-        for i in sorted(alive):
-            for j in sorted(a[i]):
-                if j != i and j in alive:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            n_zero += len(alive)
-            break
-        i, j = pair
-        v = a[i][j]
-        n_pos += 1
-        n_neg += 1
-        alive.discard(i)
-        alive.discard(j)
-        # Schur complement of the block [[0, v], [v, 0]]
-        nbrs = sorted(
-            k for k in alive if i in a.get(k, {}) or j in a.get(k, {})
-        )
-        coeffs = {k: (a[k].get(i, Fraction(0)), a[k].get(j, Fraction(0))) for k in nbrs}
-        for x, k in enumerate(nbrs):
-            cki, ckj = coeffs[k]
-            for l in nbrs[x:]:
-                cli, clj = coeffs[l]
-                delta = (cki * clj + ckj * cli) / v
-                set_sym(k, l, a[k].get(l, Fraction(0)) - delta)
-            a[k].pop(i, None)
-            a[k].pop(j, None)
-    return n_pos, n_neg, n_zero
-
-
 def signature(m: IntMatrix) -> int:
-    """n_plus - n_minus; raises SingularMatrix when det = 0."""
+    """n_plus - n_minus of a forest-shaped matrix, as `inertia`; raises
+    SingularMatrix when det = 0."""
     n_pos, n_neg, n_zero = inertia(m)
     if n_zero:
         raise SingularMatrix("matrix is singular")

@@ -213,8 +213,8 @@ def family_sweep(family_id: str, n_from: int, n_to: int):
 
     An unknown family raises UnknownFamily here, before any report exists.
     """
-    spec = family_spec(family_id)
-    return (build_report(family_id, n) for n in range(n_from, n_to + 1) if spec.admissible(n))
+    members = family_spec(family_id).admissible_range(n_from, n_to)
+    return (build_report(family_id, n) for n in members)
 
 
 def triple_summary(t: BrieskornTriple, with_casson: bool) -> dict:

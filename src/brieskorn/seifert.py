@@ -135,10 +135,17 @@ class FamilySpec(NamedTuple):
     parity: str = "all"
     n_exact: int | None = None
 
-    def admissible(self, n: int) -> bool:
+    def admissible_range(self, lo: int, hi: int) -> range:
+        """The admissible n in [lo, hi], in increasing order."""
         if self.n_exact is not None:
-            return n == self.n_exact
-        return n >= 1 and (self.parity != "odd" or n % 2 == 1)
+            return range(self.n_exact, self.n_exact + (lo <= self.n_exact <= hi))
+        lo = max(lo, 1)
+        if self.parity == "odd":
+            return range(lo | 1, hi + 1, 2)
+        return range(lo, hi + 1)
+
+    def admissible(self, n: int) -> bool:
+        return n in self.admissible_range(n, n)
 
     def triple_of(self, n: int) -> BrieskornTriple:
         if not self.admissible(n):

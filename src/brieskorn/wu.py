@@ -12,6 +12,10 @@ lifted to an integer 0/1 vector,
 
 an integer by van der Blij's lemma.  mubar != 0 obstructs bounding an
 integral homology ball.
+
+w comes from the GF(2) half of `plumbing.tree_invariants`, the same
+leaf-first pass that gives det and the signature, so `wu_class` takes
+forest-shaped matrices only, as every plumbing's intersection matrix is.
 """
 
 from __future__ import annotations
@@ -23,9 +27,8 @@ from .plumbing import (
     IntMatrix,
     Invariants,
     PlumbingGraph,
-    _forest_structure,
+    _forest_invariants,
     graph_invariants,
-    tree_invariants,
 )
 
 
@@ -54,51 +57,13 @@ class MubarResult(NamedTuple):
 def wu_class(m: IntMatrix) -> WuClass:
     """Unique {0,1} solution of A w = diag(A) mod 2.  Requires det(A) odd.
 
-    Forest-shaped matrices go through `tree_invariants`, others through
-    dense GF(2) elimination.
+    Found by `tree_invariants`, so m must be forest-shaped, as every
+    plumbing's intersection matrix is; any other matrix raises ValueError.
     """
-    forest = _forest_structure(m)
-    coords = _gf2_wu(m) if forest is None else tree_invariants(*forest).wu
+    coords = _forest_invariants(m).wu
     if coords is None:
         raise EvenDeterminant("intersection form is singular over GF(2)")
     return WuClass(coords)
-
-
-def _gf2_wu(m: IntMatrix) -> tuple[int, ...] | None:
-    """Dense GF(2) elimination; None when the form is singular mod 2.
-
-    Rows are kept as bitmasks; pivoting picks the first row with a 1 in the
-    current column, so the run is deterministic.
-    """
-    n = m.n
-    rows = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if m.entries[i][j] & 1:
-                mask |= 1 << j
-        mask |= (m.entries[i][i] & 1) << n  # augmented column
-        rows.append(mask)
-    pivots = []
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, n):
-            if rows[i] >> col & 1:
-                sel = i
-                break
-        if sel is None:
-            return None
-        rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(n):
-            if i != r and rows[i] >> col & 1:
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        r += 1
-    w = [0] * n
-    for i, col in enumerate(pivots):
-        w[col] = rows[i] >> n & 1
-    return tuple(w)
 
 
 def wu_square(m: IntMatrix, w: WuClass) -> int:

@@ -207,6 +207,11 @@ class TestFamily:
         rows = out.strip().splitlines()[1:]
         assert [int(r.split(",")[1]) for r in rows] == [1, 3, 5, 7, 9]
         assert all(int(r.split(",")[10]) != 0 for r in rows)  # mubar column
+        # from an even or non-positive n the sweep starts at the next odd n >= 1
+        for lo, first in (("4", 5), ("-4", 1)):
+            code, out, _ = run(capsys, "family", "al-2", lo, "9", "--csv")
+            assert code == 0
+            assert [int(r.split(",")[1]) for r in out.strip().splitlines()[1:]] == list(range(first, 10, 2))
 
     def test_unknown_family_exit_2(self, capsys):
         code, out, err = run(capsys, "family", "nosuch", "1", "2")
@@ -260,6 +265,15 @@ class TestFamily:
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == "error: thm1-even2 n=100000: more than 100000 plumbing vertices, the cap for family\n"
+
+    @pytest.mark.parametrize("fam, lo, fmt", [("thm2-single13", "1", []), ("thm2-single25", "2", ["--csv"])])
+    def test_single_member_sweep_skips_inadmissible_n(self, capsys, fam, lo, fmt):
+        # only admissible n are visited, so a range of 10**18 costs nothing
+        expected = run(capsys, "family", fam, lo, lo, *fmt)
+        start = time.perf_counter()
+        got = run(capsys, "family", fam, lo, str(10**18), *fmt)
+        assert time.perf_counter() - start < 1
+        assert got == expected
 
     def test_claim_failure_exit_1(self, capsys, monkeypatch):
         import copy

@@ -34,13 +34,13 @@ from brieskorn.errors import (
 from brieskorn.plumbing import (
     _bareiss_determinant,
     _forest_structure,
-    _sylvester_inertia,
     graph_invariants,
     inertia,
     star_exceeds,
     tree_invariants,
 )
-from brieskorn.wu import WuClass, _gf2_wu, mubar, wu_class, wu_square
+from brieskorn.wu import WuClass, mubar, wu_class, wu_square
+from dense_oracle import _gf2_wu, _sylvester_inertia
 
 
 def cf_fold(cs):
@@ -185,8 +185,6 @@ class TestDeterminant:
 
     def test_forest_path_agrees_with_bareiss(self):
         # random weighted trees exercise the linear-time recursion
-        from brieskorn.plumbing import _bareiss_determinant
-
         rng = random.Random(777)
         for _ in range(100):
             n = rng.randint(9, 16)
@@ -199,6 +197,10 @@ class TestDeterminant:
                 rows[u][v] = rows[v][u] = w
             m = IntMatrix.from_rows(rows)
             assert determinant(m) == _bareiss_determinant(m)
+        # zero pivots below the root at vertices 11 and 9 cut vertices 10
+        # and 8: det = det(A_8) * (-1) * (-1)
+        m = chain([-2] * 9 + [0, -3, 0])
+        assert determinant(m) == _bareiss_determinant(m) == 9
 
 
 class TestSignature:
@@ -225,22 +227,28 @@ class TestSignature:
         assert signature(IntMatrix.from_rows([[0, 2], [2, 0]])) == 0
 
     def test_inertia_against_eigen_count_on_randoms(self):
-        # oracle: diagonal-free exact check via cofactor characteristic signs
-        # is overkill; instead compare n_pos - n_neg with Descartes on the
-        # characteristic polynomial computed exactly by Leverrier-Faddeev.
+        # compare the inertia with Descartes on the characteristic polynomial
+        # computed exactly by Leverrier-Faddeev: the dense oracle on random
+        # symmetric matrices, the tree kernel on random forests whose small
+        # weights give zero pivots below the root
         rng = random.Random(11)
         for _ in range(60):
             n = rng.randint(1, 5)
-            rows = [[0] * n for _ in range(n)]
+            dense = [[0] * n for _ in range(n)]
+            forest = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
-                    rows[i][j] = rows[j][i] = rng.randint(-4, 4)
-            m = IntMatrix.from_rows(rows)
-            n_pos, n_neg, n_zero = inertia(m)
-            assert n_pos + n_neg + n_zero == n
-            coeffs = charpoly(rows)
-            assert n_zero == trailing_zeros(coeffs)
-            assert n_pos == sign_changes(coeffs)
+                    dense[i][j] = dense[j][i] = rng.randint(-4, 4)
+                forest[i][i] = rng.randint(-2, 2)
+                if i:
+                    u = rng.randrange(i)
+                    forest[u][i] = forest[i][u] = rng.choice((1, -1, 2))
+            for rows, count in ((dense, _sylvester_inertia), (forest, inertia)):
+                n_pos, n_neg, n_zero = count(IntMatrix.from_rows(rows))
+                assert n_pos + n_neg + n_zero == n
+                coeffs = charpoly(rows)
+                assert n_zero == trailing_zeros(coeffs)
+                assert n_pos == sign_changes(coeffs)
 
     def test_family_forms_negative_definite_unimodular(self):
         for fam in FAMILIES.values():
@@ -386,7 +394,7 @@ class TestTreeValidation:
 
 
 class TestTreeKernel:
-    """`tree_invariants` against the general routines it replaces on trees."""
+    """`tree_invariants` against the dense routines in `dense_oracle`."""
 
     @settings(deadline=None, max_examples=300)
     @given(weighted_forests())
@@ -394,6 +402,12 @@ class TestTreeKernel:
     @example(chain([0] * 9))  # singular, zero pivots everywhere
     @example(chain([-2] * 9 + [0]))  # zero pivot at a leaf below the root
     @example(chain([1] * 10, edge=2))  # even edges: a diagonal form mod 2
+    # vertex 2 has two zero-pivot children: uncut, every ancestor is 0/0
+    @example(intersection_matrix(PlumbingGraph((-2, -2, -1, 0, 0), ((0, 1), (1, 2), (2, 3), (2, 4)))))
+    @example(chain([-3, 1, 0], edge=2))  # a zero pivot under an edge of weight 2
+    @example(intersection_matrix(PlumbingGraph((5, 0, -1), ((0, 1), (0, 2)))))  # a root's zero child
+    # the cut vertex 1 has D = 0 (three zero children) and a parent above it
+    @example(intersection_matrix(PlumbingGraph((-1, 3, 0, 0, 0), ((0, 1), (1, 2), (1, 3), (1, 4)))))
     def test_matches_general_routines(self, m):
         diag = [m.entries[i][i] for i in range(m.n)]
         adj = [[(j, x) for j, x in enumerate(row) if x and j != i] for i, row in enumerate(m.entries)]
@@ -423,6 +437,9 @@ class TestTreeKernel:
         m = IntMatrix.from_rows(m)
         assert _forest_structure(m) is None
         assert determinant(m) == _bareiss_determinant(m)
+        for forest_only in (inertia, wu_class, signature, is_negative_definite):
+            with pytest.raises(ValueError, match="not forest-shaped"):
+                forest_only(m)
 
     @settings(deadline=None, max_examples=200)
     @given(plumbing_trees())

@@ -17,7 +17,8 @@ per workload and end-to-end metric of CHANGE's ``BENCHMARK.json``:
   the per-run speed scale can turn a small difference around;
 
 then every ``peak_rss_mb`` reading with the resident MB it is on top of (the
-harness's note), and the failed calls.  Each run's JSON goes to stderr as
+harness's note) and the run's attempted calls, since a longer run can reach
+a higher peak, and the failed calls.  Each run's JSON goes to stderr as
 it ends.  Stdlib only; nothing is written into either checkout but what the
 harness itself writes there.
 """
@@ -84,8 +85,8 @@ def report(workload: str, pairs: list[tuple[dict, dict]], metrics: list[dict]) -
                     [c["raw"][name] for _, c in pairs], higher, "")
     for side, k in (("parent", 0), ("change", 1)):
         readings = " ".join(f"{pair[k]['metrics']['peak_rss_mb']:.4g}/{pair[k]['rss_base']:.5g}"
-                            for pair in pairs)
-        print(f"  peak_rss_mb/on-top-of MB, {side}: {readings}")
+                            f"/{pair[k]['attempted']}" for pair in pairs)
+        print(f"  peak_rss_mb/on-top-of MB/attempted calls, {side}: {readings}")
     for side, k in (("parent", 0), ("change", 1)):
         failed = sum(pair[k]["failed"] for pair in pairs)
         attempted = sum(pair[k]["attempted"] for pair in pairs)
