@@ -15,17 +15,13 @@ The two must agree up to one global sign fixed once for all n.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import NotDivisibleBy8
 from .seifert import BrieskornTriple
 
 
-class _TwistKnot(NamedTuple):
-    n: int
-
-
-class TwistKnotFamily(_TwistKnot):
+class TwistKnotFamily(namedtuple("TwistKnotFamily", "n")):
     """Twist knot K_n; K_0 is the unknot, K_2 the stevedore knot."""
 
     __slots__ = ()
@@ -52,10 +48,8 @@ class TwistKnotFamily(_TwistKnot):
         return sum(c * e * (e - 1) for e, c in self.alexander)
 
 
-class LatticeSignature(NamedTuple):
-    sigma_plus: int
-    sigma_minus: int
-    sigma_zero: int
+class LatticeSignature(namedtuple("LatticeSignature", "sigma_plus sigma_minus sigma_zero")):
+    __slots__ = ()
 
     @property
     def sigma(self) -> int:

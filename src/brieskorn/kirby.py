@@ -25,9 +25,9 @@ surviving component represents is recorded as an unverified annotation.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import NamedTuple
 
 from .errors import (
     DuplicateLabel,
@@ -152,8 +152,8 @@ def _json_label(v) -> str:
     return v
 
 
-class Blowdown(NamedTuple):
-    component: str
+class Blowdown(namedtuple("Blowdown", "component")):
+    __slots__ = ()
     op = "blowdown"
 
     def to_json_obj(self) -> dict:
@@ -163,10 +163,8 @@ class Blowdown(NamedTuple):
         return f"blowdown:{self.component}"
 
 
-class Slide(NamedTuple):
-    moving: str
-    over: str
-    sign: int
+class Slide(namedtuple("Slide", "moving over sign")):
+    __slots__ = ()
     op = "slide"
 
     def to_json_obj(self) -> dict:
@@ -176,10 +174,10 @@ class Slide(NamedTuple):
         return f"slide:{self.moving}/{self.over}:{self.sign:+d}"
 
 
-class Blowup(NamedTuple):
-    sign: int
-    linking: tuple[int, ...]
-    label: str
+class Blowup(namedtuple("Blowup", "sign linking label")):
+    """``linking`` is the new component's linking vector, one int per old component."""
+
+    __slots__ = ()
     op = "blowup"
 
     def to_json_obj(self) -> dict:
@@ -192,12 +190,11 @@ class Blowup(NamedTuple):
 KirbyMove = Blowdown | Slide | Blowup
 
 
-class KirbyScript(NamedTuple):
-    name: str
-    initial: FramedLink
-    moves: tuple[KirbyMove, ...]
-    expect: FramedLink
-    annotations: tuple[str, ...] = ()
+class KirbyScript(namedtuple("KirbyScript", "name initial moves expect annotations", defaults=((),))):
+    """``initial`` and ``expect`` are FramedLinks, ``moves`` a tuple of KirbyMove
+    and ``annotations`` a tuple of strings."""
+
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {
@@ -209,11 +206,10 @@ class KirbyScript(NamedTuple):
         }
 
 
-class TraceStep(NamedTuple):
-    step: int
-    op: str
-    det: int
-    legal: bool
+class TraceStep(namedtuple("TraceStep", "step op det legal")):
+    """``op`` is the move's `describe` text."""
+
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {"step": self.step, "op": self.op, "det": self.det, "legal": self.legal}
@@ -225,10 +221,10 @@ class TraceStep(NamedTuple):
             self.step, _encode_str(self.op), self.det, legal)
 
 
-class ReplayTrace(NamedTuple):
-    script: KirbyScript
-    steps: tuple[TraceStep, ...]
-    final: FramedLink
+class ReplayTrace(namedtuple("ReplayTrace", "script steps final")):
+    """``steps`` is a tuple of TraceStep and ``final`` the link after the last move."""
+
+    __slots__ = ()
 
     def to_json_lines(self) -> str:
         return "\n".join([s.to_json() for s in self.steps])
@@ -490,12 +486,17 @@ def script_from_json(text: str) -> KirbyScript:
                 moves.append(Blowup(sign, linking, _json_label(mv["label"])))
             else:
                 raise ScriptFormatError(f"unknown op {op!r}")
+        name, annotations = obj["name"], obj.get("annotations", [])
+        if not isinstance(name, str):
+            raise ScriptFormatError(f"name must be a string, got {name!r}")
+        if not isinstance(annotations, list) or not all(isinstance(s, str) for s in annotations):
+            raise ScriptFormatError(f"annotations must be a list of strings, got {annotations!r}")
         return KirbyScript(
-            name=str(obj["name"]),
+            name=name,
             initial=FramedLink.from_json_obj(obj["initial"]),
             moves=tuple(moves),
             expect=FramedLink.from_json_obj(obj["expect"]),
-            annotations=tuple(str(s) for s in obj.get("annotations", [])),
+            annotations=tuple(annotations),
         )
     except ScriptFormatError:
         raise

@@ -18,20 +18,17 @@ Kirby moves.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import compress
 from math import gcd
-from typing import NamedTuple
 
 from .errors import InvalidFraction, NotStarShaped, SingularMatrix
 from .seifert import BrieskornTriple, SeifertData, seifert_invariants
 
 
-class _Matrix(NamedTuple):
-    entries: tuple[tuple[int, ...], ...]
-
-
-class IntMatrix(_Matrix):
-    """Symmetric matrix of exact (arbitrary-precision) integers."""
+class IntMatrix(namedtuple("IntMatrix", "entries")):
+    """Symmetric matrix of exact (arbitrary-precision) integers; ``entries``
+    is a tuple of row tuples."""
 
     __slots__ = ()
 
@@ -61,15 +58,10 @@ class IntMatrix(_Matrix):
         return [list(row) for row in self.entries]
 
 
-class _Graph(NamedTuple):
-    weights: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    origin: tuple[BrieskornTriple, SeifertData] | None
-    adj: tuple[tuple[tuple[int, int], ...], ...]
-
-
-class PlumbingGraph(_Graph):
-    """Weighted tree; ``origin`` optionally records the triple it encodes.
+class PlumbingGraph(namedtuple("PlumbingGraph", "weights edges origin adj")):
+    """Weighted tree with ``edges`` as (i, j) vertex pairs; ``origin``
+    optionally records the triple it encodes, as a (BrieskornTriple,
+    SeifertData) pair.
 
     ``adj[v]`` lists ``(u, 1)`` for each neighbour u of v, the form
     `tree_invariants` takes; it is built once, when the tree is validated.
@@ -326,19 +318,15 @@ def _eliminate(diag, adj):
                 e[p] *= dv
 
 
-class Invariants(NamedTuple):
+class Invariants(namedtuple("Invariants", "det n_plus n_minus n_zero wu")):
     """det, inertia and spherical Wu class of a symmetric integer form.
 
     ``wu`` is the 0/1 solution of A w = diag(A) (mod 2); None iff det is even.
-    A NamedTuple record, like every record in the package (see CONVENTIONS,
-    "Records").
+    A `collections.namedtuple` record, like every record in the package (see
+    CONVENTIONS, "Records").
     """
 
-    det: int
-    n_plus: int
-    n_minus: int
-    n_zero: int
-    wu: tuple[int, ...] | None
+    __slots__ = ()
 
     @property
     def negative_definite(self) -> bool:

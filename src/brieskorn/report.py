@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .casson import casson_brieskorn
 from .errors import UnsupportedFamily
@@ -33,11 +33,8 @@ CSV_HEADER = "family,n,p,q,r,vertices,det,neg_def,signature,wu_square,mubar,pass
 MAX_INFO_VERTICES = 100_000
 
 
-class ClaimCheck(NamedTuple):
-    name: str
-    expected: object
-    actual: object
-    passed: bool
+class ClaimCheck(namedtuple("ClaimCheck", "name expected actual passed")):
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {
@@ -48,18 +45,15 @@ class ClaimCheck(NamedTuple):
         }
 
 
-class VerificationReport(NamedTuple):
-    family: str
-    n: int
-    triple: tuple[int, int, int]
-    vertex_count: int
-    determinant: int
-    negative_definite: bool
-    signature: int
-    wu_square: int
-    mubar: int
-    obstructed: bool
-    claims_checked: tuple[ClaimCheck, ...]
+class VerificationReport(namedtuple(
+    "VerificationReport",
+    "family n triple vertex_count determinant negative_definite signature wu_square mubar "
+    "obstructed claims_checked",
+)):
+    """One family member's invariants, ``triple`` as (p, q, r), and its
+    ``claims_checked`` as a tuple of ClaimCheck."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -11,9 +11,9 @@ solution of
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from .errors import (
     DegenerateTriple,
@@ -24,13 +24,7 @@ from .errors import (
 )
 
 
-class _Triple(NamedTuple):
-    p: int
-    q: int
-    r: int
-
-
-class BrieskornTriple(_Triple):
+class BrieskornTriple(namedtuple("BrieskornTriple", "p q r")):
     """Pairwise coprime positive triple, stored sorted ascending."""
 
     __slots__ = ()
@@ -53,13 +47,9 @@ class BrieskornTriple(_Triple):
         return f"Sigma({self.p},{self.q},{self.r})"
 
 
-class _Seifert(NamedTuple):
-    b: int
-    legs: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-
-
-class SeifertData(_Seifert):
-    """Central weight b plus the three normalized exceptional-fiber pairs."""
+class SeifertData(namedtuple("SeifertData", "b legs")):
+    """Central weight b plus the three normalized exceptional-fiber pairs
+    (alpha_i, beta_i), as a tuple of three int pairs."""
 
     __slots__ = ()
 
@@ -122,18 +112,15 @@ def seifert_invariants(t: BrieskornTriple) -> SeifertData:
     return SeifertData(num // prod, tuple(legs))
 
 
-class FamilySpec(NamedTuple):
+class FamilySpec(namedtuple("FamilySpec", "id triple_coeffs parity n_exact", defaults=("all", None))):
     """One built-in family: affine triple formulas plus the admissible n set.
 
     ``triple_coeffs`` holds three (a, b) pairs meaning component = a*n + b.
     ``parity`` restricts n ("all" or "odd"); ``n_exact`` pins single-member
-    families to one n value.
+    families to one n value, or is None.
     """
 
-    id: str
-    triple_coeffs: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-    parity: str = "all"
-    n_exact: int | None = None
+    __slots__ = ()
 
     def admissible_range(self, lo: int, hi: int) -> range:
         """The admissible n in [lo, hi], in increasing order."""

@@ -20,7 +20,7 @@ forest-shaped matrices only, as every plumbing's intersection matrix is.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import EvenDeterminant, NotNegativeDefinite, NotUnimodular, SingularMatrix
 from .plumbing import (
@@ -32,11 +32,7 @@ from .plumbing import (
 )
 
 
-class _Wu(NamedTuple):
-    coords: tuple[int, ...]
-
-
-class WuClass(_Wu):
+class WuClass(namedtuple("WuClass", "coords")):
     """0/1 coordinates of the spherical Wu class, one per vertex."""
 
     __slots__ = ()
@@ -47,11 +43,8 @@ class WuClass(_Wu):
         return tuple.__new__(cls, (coords,))
 
 
-class MubarResult(NamedTuple):
-    signature: int
-    wu_square: int
-    mubar: int
-    obstructed: bool
+class MubarResult(namedtuple("MubarResult", "signature wu_square mubar obstructed")):
+    __slots__ = ()
 
 
 def wu_class(m: IntMatrix) -> WuClass:

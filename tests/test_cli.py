@@ -421,6 +421,29 @@ class TestReplay:
         assert code == 3
         assert "list of lists" in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("name", ["a", 1], "name must be a string"),
+            # a string is not a list of annotations, though iterating it yields strings
+            ("annotations", "abc", "annotations must be a list of strings"),
+            ("annotations", ["ok", 1], "annotations must be a list of strings"),
+            ("annotations", {"a": "b"}, "annotations must be a list of strings"),
+        ],
+    )
+    def test_non_string_name_or_annotations_exit_3(self, tmp_path, capsys, field, value, message):
+        path = tmp_path / "s.json"
+        script = {
+            "name": "s",
+            "initial": {"labels": [], "matrix": []},
+            "moves": [],
+            "expect": {"labels": [], "matrix": []},
+        }
+        path.write_text(json.dumps({**script, field: value}))
+        code, out, err = run(capsys, "replay", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
     def test_number_too_long_to_print_exit_1(self, tmp_path, capsys):
         # a legal blow-down squares a 4000-digit linking number: the replay
         # succeeds, but its determinant and final entry exceed the digits
@@ -660,7 +683,7 @@ class TestConsoleEntry:
         code = (
             "import sys\n"
             f"sys.path.insert(0, {src!r})\n"
-            "SLOW = {'argparse', 'gettext', 'locale', 'importlib.resources'}\n"
+            "SLOW = {'argparse', 'gettext', 'locale', 'importlib.resources', 'typing'}\n"
             "import brieskorn.cli\n"
             "loaded = [sorted(SLOW & set(sys.modules))]\n"
             "# lazy imports would hide layers from the tracer and move memory into the calls\n"

@@ -21,7 +21,7 @@ from brieskorn.kirby import (
     Slide,
     TraceStep,
 )
-from brieskorn.plumbing import IntMatrix, PlumbingGraph
+from brieskorn.plumbing import IntMatrix, Invariants, PlumbingGraph
 from brieskorn.report import ClaimCheck, VerificationReport
 from brieskorn.seifert import BrieskornTriple, FamilySpec, SeifertData
 from brieskorn.wu import MubarResult, WuClass
@@ -62,6 +62,12 @@ RECORDS = [
         dict(weights=(-1, -2), edges=((0, 1),)),
         "PlumbingGraph(weights=(-1, -2), edges=((0, 1),), origin=None)",
         "weights",
+    ),
+    (
+        Invariants,
+        dict(det=-1, n_plus=0, n_minus=3, n_zero=0, wu=(1, 0, 1)),
+        "Invariants(det=-1, n_plus=0, n_minus=3, n_zero=0, wu=(1, 0, 1))",
+        "wu",
     ),
     (WuClass, dict(coords=(1, 0, 1)), "WuClass(coords=(1, 0, 1))", "coords"),
     (
@@ -121,7 +127,7 @@ IDS = [cls.__name__ for cls, *_ in RECORDS]
 
 
 def test_every_record_type_is_listed():
-    assert len(set(IDS)) == len(IDS) == 17
+    assert len(set(IDS)) == len(IDS) == 18
 
 
 @pytest.mark.parametrize("cls, fields, text, name", RECORDS, ids=IDS)

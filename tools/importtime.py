@@ -9,7 +9,10 @@ cumulative import time in microseconds, as a tree: each module above the
 modules it imports.  Modules the interpreter loaded before (``site`` and
 what it imports) are not part of the tree.  This is the by-layer view of the
 benchmark's ``setup_s``, which times the same import plus
-``report.load_claims()``.  Stdlib only.
+``report.load_claims()``, with one difference: ``setup_s`` starts its clock
+only after ``perfbench/speed.py`` has imported ``statistics``, and with it
+``fractions``, ``decimal`` and ``random``.  Those subtrees of the tree cost a
+user's process but not ``setup_s``.  Stdlib only.
 """
 
 from __future__ import annotations
