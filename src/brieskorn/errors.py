@@ -64,7 +64,8 @@ class DuplicateLabel(BrieskornError):
 
 
 class UnsupportedFamily(BrieskornError):
-    """No scripted reduction for this family, or a member above a size cap."""
+    """No scripted reduction for this family, or an input above a size cap
+    (a family member, an `info` triple, a script)."""
 
 
 class ScriptFormatError(BrieskornError):

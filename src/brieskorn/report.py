@@ -32,6 +32,11 @@ CSV_HEADER = "family,n,p,q,r,vertices,det,neg_def,signature,wu_square,mubar,pass
 #: 1 s and 64 MB.
 MAX_INFO_VERTICES = 100_000
 
+#: Most lattice points `info --casson` counts, (p-1)(q-1)(r-1), checked
+#: before counting.  The count runs at 4-6 million points/s (Python 3.11,
+#: 2 shared cores): Sigma(7,11,833334), just below the cap, takes about 9 s.
+MAX_CASSON_POINTS = 50_000_000
+
 
 class ClaimCheck(namedtuple("ClaimCheck", "name expected actual passed")):
     __slots__ = ()
@@ -60,21 +65,11 @@ class VerificationReport(namedtuple(
         return all(c.passed for c in self.claims_checked)
 
     def to_json_obj(self) -> dict:
-        obj = {
-            "family": self.family,
-            "n": self.n,
-            "triple": list(self.triple),
-            "vertex_count": self.vertex_count,
-            "determinant": self.determinant,
-            "negative_definite": self.negative_definite,
-            "signature": self.signature,
-            "wu_square": self.wu_square,
-            "mubar": self.mubar,
-            "obstructed": self.obstructed,
-            "claims_checked": [c.to_json_obj() for c in self.claims_checked],
-            "script_replayed": None,  # kept so the key order stays fixed
-            "pass": self.passed,
-        }
+        obj = self._asdict()
+        obj["triple"] = list(self.triple)
+        obj["claims_checked"] = [c.to_json_obj() for c in self.claims_checked]
+        obj["script_replayed"] = None  # kept so the key order stays fixed
+        obj["pass"] = self.passed
         return obj
 
     def to_json(self) -> str:
@@ -90,16 +85,16 @@ class VerificationReport(namedtuple(
             r,
             self.vertex_count,
             self.determinant,
-            _csv_bool(self.negative_definite),
+            fmt_bool(self.negative_definite),
             self.signature,
             self.wu_square,
             self.mubar,
-            _csv_bool(self.passed),
+            fmt_bool(self.passed),
         ]
         return ",".join(str(c) for c in cells)
 
 
-def _csv_bool(b: bool) -> str:
+def fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
@@ -173,17 +168,8 @@ def build_report(family_id: str, n: int) -> VerificationReport:
         expected, passed = _evaluate(claim, n, actual)
         checks.append(ClaimCheck(claim["name"], expected, actual, passed))
     return VerificationReport(
-        family=family_id,
-        n=n,
-        triple=triple.components,
-        vertex_count=graph.vertex_count,
-        determinant=inv.det,
-        negative_definite=inv.negative_definite,
-        signature=sig,
-        wu_square=w2,
-        mubar=mu_value,
-        obstructed=mu_value != 0,
-        claims_checked=tuple(checks),
+        family_id, n, triple.components, **computed,
+        obstructed=mu_value != 0, claims_checked=tuple(checks),
     )
 
 
@@ -212,9 +198,20 @@ def family_sweep(family_id: str, n_from: int, n_to: int):
 
 
 def triple_summary(t: BrieskornTriple, with_casson: bool) -> dict:
-    """Everything the `info` command prints, as one deterministic dict."""
+    """Everything the `info` command prints, as one deterministic dict.
+
+    Raises UnsupportedFamily above `MAX_INFO_VERTICES`, or with ``with_casson``
+    above `MAX_CASSON_POINTS`, before anything is built or counted."""
+    if not t.is_degenerate and star_exceeds(t, MAX_INFO_VERTICES):
+        raise UnsupportedFamily(
+            f"{t} has more than {MAX_INFO_VERTICES} plumbing vertices, the cap for info"
+        )
+    if with_casson and (t.p - 1) * (t.q - 1) * (t.r - 1) > MAX_CASSON_POINTS:
+        raise UnsupportedFamily(
+            f"{t} has more than {MAX_CASSON_POINTS} lattice points, the cap for --casson"
+        )
     if t.is_degenerate:
-        obj = {
+        return {
             "triple": list(t.components),
             "degenerate": True,
             "seifert": None,
@@ -228,12 +225,11 @@ def triple_summary(t: BrieskornTriple, with_casson: bool) -> dict:
             "obstructed": False,
             "casson": 0,  # S^3; the empty lattice count costs nothing
         }
-        return obj
     graph = brieskorn_plumbing(t)
     _, s = graph.origin
     inv = _seifert_checked_invariants(graph)
     mu = mubar_of(graph, inv)
-    obj = {
+    return {
         "triple": list(t.components),
         "degenerate": False,
         "seifert": {"b": s.b, "legs": [list(leg) for leg in s.legs]},
@@ -245,11 +241,8 @@ def triple_summary(t: BrieskornTriple, with_casson: bool) -> dict:
         "wu_square": mu.wu_square,
         "mubar": mu.mubar,
         "obstructed": mu.obstructed,
+        "casson": casson_brieskorn(t) if (with_casson or _is_cheap_casson(t)) else None,
     }
-    obj["casson"] = (
-        casson_brieskorn(t) if (with_casson or _is_cheap_casson(t)) else None
-    )
-    return obj
 
 
 def _is_cheap_casson(t: BrieskornTriple) -> bool:

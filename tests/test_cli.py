@@ -18,7 +18,7 @@ import brieskorn
 import brieskorn.report as report_mod
 from brieskorn import cli
 from brieskorn.cli import main
-from brieskorn.errors import ScriptFormatError
+from brieskorn.errors import ScriptFormatError, UnsupportedFamily
 from brieskorn.kirby import FramedLink, script_from_json, script_generator
 from brieskorn.plumbing import IntMatrix, brieskorn_plumbing, star_exceeds
 from brieskorn.report import CSV_HEADER, triple_summary
@@ -69,11 +69,11 @@ class TestInfoVertexCap:
         build = report_mod.brieskorn_plumbing
         monkeypatch.setattr(report_mod, "brieskorn_plumbing", lambda t: builds.append(t) or build(t))
         vertices = brieskorn_plumbing(validate_triple(2, 3, 31)).vertex_count
-        monkeypatch.setattr(cli, "MAX_INFO_VERTICES", vertices)
+        monkeypatch.setattr(report_mod, "MAX_INFO_VERTICES", vertices)
         code, out, err = run(capsys, "info", "2", "3", "31", "--json")
         assert code == 0 and err == "" and len(builds) == 1
         assert len(json.loads(out)["plumbing"]["weights"]) == vertices
-        monkeypatch.setattr(cli, "MAX_INFO_VERTICES", vertices - 1)
+        monkeypatch.setattr(report_mod, "MAX_INFO_VERTICES", vertices - 1)
         code, out, err = run(capsys, "info", "2", "3", "31", "--json")
         assert code == 2 and out == "" and len(builds) == 1
         assert err == (
@@ -89,6 +89,14 @@ class TestInfoVertexCap:
         assert star_exceeds(validate_triple(2, 3, 599989), report_mod.MAX_INFO_VERTICES)
         code, out, err = run(capsys, "info", "2", "3", "599989")
         assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_library_call_refused_before_building(self, monkeypatch):
+        def build(t):
+            raise AssertionError(f"{t} built above the cap")
+
+        monkeypatch.setattr(report_mod, "brieskorn_plumbing", build)
+        with pytest.raises(UnsupportedFamily, match="plumbing vertices, the cap for info$"):
+            triple_summary(validate_triple(2, 3, 599989), with_casson=False)
 
     @pytest.mark.parametrize(
         "triple",
@@ -124,11 +132,11 @@ class TestInfoCassonCap:
         count = report_mod.casson_brieskorn
         monkeypatch.setattr(report_mod, "casson_brieskorn", lambda t: counts.append(t) or count(t))
         points = 1 * 4 * 6  # Sigma(2,5,7)
-        monkeypatch.setattr(cli, "MAX_CASSON_POINTS", points)
+        monkeypatch.setattr(report_mod, "MAX_CASSON_POINTS", points)
         code, out, err = run(capsys, "info", "2", "5", "7", "--casson", "--json")
         assert code == 0 and err == "" and len(counts) == 1
         assert json.loads(out)["casson"] == count(validate_triple(2, 5, 7))
-        monkeypatch.setattr(cli, "MAX_CASSON_POINTS", points - 1)
+        monkeypatch.setattr(report_mod, "MAX_CASSON_POINTS", points - 1)
         code, out, err = run(capsys, "info", "2", "5", "7", "--casson")
         assert (code, out, len(counts)) == (2, "", 1)
         assert err == f"error: Sigma(2,5,7) has more than {points - 1} lattice points, the cap for --casson\n"
@@ -140,8 +148,8 @@ class TestInfoCassonCap:
         # the largest automatic count, Sigma(2,3,599983) at the vertex cap
         # (see TestInfoVertexCap), and the largest benchmark `info` count,
         # Sigma(3,298,2087), stay below the cap
-        assert 1 * 2 * (599983 - 1) < cli.MAX_CASSON_POINTS
-        assert 2 * 297 * 2086 < cli.MAX_CASSON_POINTS
+        assert 1 * 2 * (599983 - 1) < report_mod.MAX_CASSON_POINTS
+        assert 2 * 297 * 2086 < report_mod.MAX_CASSON_POINTS
 
     def test_huge_count_refused_within_a_second(self, capsys):
         start = time.perf_counter()
@@ -150,6 +158,14 @@ class TestInfoCassonCap:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: Sigma({','.join(self.HUGE)}) has more than ")
         assert err.count("\n") == 1
+
+    def test_library_call_refused_before_counting(self, monkeypatch):
+        def count(t):
+            raise AssertionError(f"{t} counted above the cap")
+
+        monkeypatch.setattr(report_mod, "casson_brieskorn", count)
+        with pytest.raises(UnsupportedFamily, match="lattice points, the cap for --casson$"):
+            triple_summary(validate_triple(*map(int, self.HUGE)), with_casson=True)
 
 
 JSON_INTS = st.integers() | st.integers(-(10**80), 10**80) | st.sampled_from([0, -1, 2**63, -(2**64)])
@@ -697,6 +713,21 @@ class TestConsoleEntry:
         proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "[[], [], [], [], []]\n"
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # about 200 KB of rows, far more than a pipe buffers: read one line and
+        # close the pipe, as `| head -1` does
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "brieskorn.cli", "family", "thm1-even2", "1", "2000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline().startswith("thm1-even2 n=1 ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (1, "")
 
     def test_usage_error_exit_2(self):
         proc = subprocess.run(
