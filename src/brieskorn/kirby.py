@@ -41,12 +41,13 @@ from .errors import (
 from .plumbing import (
     IntMatrix,
     PlumbingGraph,
+    _bareiss_determinant,
     _forest_adjacency,
-    _forest_determinant,
     _star_legs,
     brieskorn_plumbing,
     determinant,
     star_exceeds,
+    tree_invariants,
 )
 from .seifert import FAMILIES, family
 
@@ -352,12 +353,13 @@ def replay(script: KirbyScript) -> ReplayTrace:
 
     Each trace step holds the move, the exact determinant after it, and a
     legality flag; of the links, only the final one is kept.  The
-    determinant is computed once, for the initial link from its rows
-    (`_link_determinant`), and then follows each move by its identity: a
-    blow-down of a component framed eps multiplies it by eps, a slide keeps
-    it, an unlinked blow-up of sign s multiplies it by s; only a blow-up with
-    a nonzero linking vector recomputes it.  The tracked value is checked
-    against the final matrix.
+    determinant is computed from the initial link's rows (`_link_determinant`:
+    the tree kernel on a forest, else Bareiss), and then follows each move by
+    its identity: a blow-down of a component framed eps multiplies it by eps,
+    a slide keeps it, an unlinked blow-up of sign s multiplies it by s; only a
+    blow-up with a nonzero linking vector recomputes it, from the rows again.
+    The tracked value is checked against `determinant` of the final dense
+    matrix, the only one replay builds when every recompute meets a forest.
 
     Raises StepIllegal on the first illegal move (its trace step carries the
     pre-move determinant) and FinalMismatch when the final state differs
@@ -376,7 +378,7 @@ def replay(script: KirbyScript) -> ReplayTrace:
         if isinstance(move, Blowdown):
             det *= state.framing(move.component)
         elif isinstance(move, Blowup):
-            det = determinant(after.matrix) if any(move.linking) else det * move.sign
+            det = _link_determinant(after) if any(move.linking) else det * move.sign
         state = after
         steps.append(TraceStep(idx + 1, move.describe(), det, True))
     assert det == determinant(state.matrix), "tracked determinant disagrees with the final link"
@@ -386,14 +388,14 @@ def replay(script: KirbyScript) -> ReplayTrace:
 
 
 def _link_determinant(link: FramedLink) -> int:
-    """det of the link's matrix: the forest recursion on its rows when they
-    form a forest (every plumbing link does), else `determinant`."""
+    """det of the link's matrix: the tree kernel (`tree_invariants`) on its
+    rows when they form a forest (every plumbing link does), else Bareiss."""
     pos = {a: k for k, a in enumerate(link.rows)}
     edges = ((pos[a], pos[b], x) for a, r in link.rows.items() for b, x in r.items() if pos[a] < pos[b])
     adj = _forest_adjacency(len(pos), edges)
     if adj is None:
-        return determinant(link.matrix)
-    return _forest_determinant([r.get(a, 0) for a, r in link.rows.items()], adj)
+        return _bareiss_determinant(link.matrix)
+    return tree_invariants([r.get(a, 0) for a, r in link.rows.items()], adj).det
 
 
 def _diff_links(expect: FramedLink, got: FramedLink) -> str:
@@ -401,7 +403,7 @@ def _diff_links(expect: FramedLink, got: FramedLink) -> str:
         return f"labels differ: expected {list(expect.labels)}, got {list(got.labels)}"
     cells = [
         f"[{i}][{j}] expected {x}, got {y}"
-        for i, rows in enumerate(zip(expect.matrix.entries, got.matrix.entries))
+        for i, rows in enumerate(zip(expect._dense(0, int), got._dense(0, int)))
         for j, (x, y) in enumerate(zip(*rows)) if x != y
     ]
     return "matrix differs: " + "; ".join(cells)
@@ -523,8 +525,8 @@ SCRIPTED_FAMILIES = {
     "thm2-3c": "km",
 }
 
-KM_TARGET = FramedLink(("K", "m"), IntMatrix.from_rows([[0, 1], [1, -1]]))
-SINGLE_TARGET = FramedLink(("K",), IntMatrix.from_rows([[1]]))
+KM_TARGET = FramedLink._of({"K": {"m": 1}, "m": {"K": 1, "m": -1}})
+SINGLE_TARGET = FramedLink._of({"K": {"K": 1}})
 
 
 def _find_minus_one_slide(link: FramedLink):

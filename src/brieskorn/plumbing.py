@@ -5,15 +5,15 @@ weight b and one leg per exceptional fiber, the leg for (alpha, beta) carrying
 weights -c1, ..., -ck where alpha/beta = c1 - 1/(c2 - 1/(... - 1/ck)) is the
 negative (Hirzebruch-Jung) continued fraction, all ci >= 2.
 
-Everything here is exact; no floating point.  On forest-shaped forms, which
-include every plumbing, one leaf-first integer pass (`tree_invariants`) gives
-the determinant, the inertia and the spherical Wu class together; a plumbing
-graph goes straight to it from its weights and edges.  A zero pivot below a
-root is cut off there (D. P. Jacobs and V. Trevisan, Linear Algebra Appl. 434
-(2011) 81-88), so the pass is exact on every forest.  `inertia` and
-`wu.wu_class` take forest-shaped matrices only; `determinant` keeps a
-fraction-free (Bareiss) elimination for the others, the linking matrices of
-Kirby moves.
+Everything here is exact; no floating point.  Two engines do the linear
+algebra.  On forests, which include every plumbing, the tree kernel
+(`tree_invariants`, one leaf-first integer pass from the weights and edges)
+gives every determinant, the inertia and the spherical Wu class together.
+A zero pivot below a root is cut off there (D. P. Jacobs and V. Trevisan,
+Linear Algebra Appl. 434 (2011) 81-88), so the pass is exact on every
+forest.  `inertia` and `wu.wu_class` take forest-shaped matrices only;
+`determinant` passes the others, the linking matrices of Kirby moves, to a
+fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -429,20 +429,10 @@ def _bareiss_determinant(m: IntMatrix) -> int:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant: the D/E recursion alone on forest-shaped matrices,
-    Bareiss on the others (the linking matrices `kirby.replay` meets)."""
+    """Exact determinant: the tree kernel (`tree_invariants`) on forest-shaped
+    matrices, Bareiss on the others (the linking matrices `kirby.replay` meets)."""
     forest = _forest_structure(m)
-    return _bareiss_determinant(m) if forest is None else _forest_determinant(*forest)
-
-
-def _forest_determinant(diag, adj) -> int:
-    """Product of `_eliminate`'s D over the roots and the cut vertices: the
-    D/E recursion alone."""
-    det = 1
-    for _, parent, _, d, e in _eliminate(diag, adj):
-        if parent < 0 or e == 0:
-            det *= d
-    return det
+    return _bareiss_determinant(m) if forest is None else tree_invariants(*forest).det
 
 
 def _forest_invariants(m: IntMatrix) -> Invariants:

@@ -149,8 +149,9 @@ def build_report(family_id: str, n: int) -> VerificationReport:
         )
     graph = brieskorn_plumbing(triple)
     inv = _seifert_checked_invariants(graph)
-    # not via wu.mubar_of, so that a failure of the unimodularity or
-    # definiteness claims is reported instead of raised
+    # not via wu.mubar_of, which raises on an unimodularity or definiteness
+    # failure; but with assertions on, the check above has already asserted
+    # both (e = -1/(a1*a2*a3) for every triple), so they fail only under -O
     sig, w2, mu_value = characteristic_numbers(graph, inv)
     computed = {
         "vertex_count": graph.vertex_count,

@@ -529,6 +529,19 @@ class TestDeterminantTracking:
             kirby.replay(kirby.script_generator("thm1-even2", 2))
         assert len(calls) == 1
 
+    def test_linked_blowup_det_comes_from_the_rows(self, monkeypatch):
+        # a linked blow-up onto a forest recomputes det from the sparse rows:
+        # the dense matrix is built once, for the final check
+        initial = L(["a", "b"], [[-2, 1], [1, -2]])
+        move = Blowup(-1, (1, 0), "c")
+        after = apply_move(initial, move)
+        reads = []
+        dense = FramedLink.matrix.fget
+        monkeypatch.setattr(FramedLink, "matrix", property(lambda link: reads.append(link) or dense(link)))
+        trace = replay(KirbyScript("linked", initial, (move,), after))
+        assert len(reads) == 1
+        assert [s.det for s in trace.steps] == [_bareiss_determinant(dense(after))] == [-1]
+
     def test_generator_checks_its_final_link(self, monkeypatch):
         import brieskorn.kirby as kirby
 

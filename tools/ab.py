@@ -1,7 +1,7 @@
 """A/B the benchmark between two checkouts, in alternating pairs of runs.
 
     python3 tools/ab.py PARENT CHANGE [--workloads sweep scripts info]
-        [--seeds 11 12 13 14 15 16] [--seconds 30]
+        [--seeds 11 12 13 14 15 16 17 18 19 20] [--seconds 30]
 
 For each workload and seed, runs ``perfbench/run.py --trace 0`` once in each
 checkout (from its root, so each imports its own ``src/``).  The first pair
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workloads", nargs="+", default=["sweep", "scripts", "info"])
-    parser.add_argument("--seeds", nargs="+", type=int, default=list(range(11, 17)))
+    parser.add_argument("--seeds", nargs="+", type=int, default=list(range(11, 21)))
     parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args(argv)
 
