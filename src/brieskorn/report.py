@@ -15,14 +15,13 @@ from functools import lru_cache
 from .casson import casson_brieskorn
 from .errors import UnsupportedFamily
 from .plumbing import (
-    Invariants,
     PlumbingGraph,
     brieskorn_plumbing,
     graph_invariants,
     star_exceeds,
 )
 from .seifert import BrieskornTriple, family_spec
-from .wu import characteristic_numbers, mubar_of
+from .wu import mubar_of
 
 CSV_HEADER = "family,n,p,q,r,vertices,det,neg_def,signature,wu_square,mubar,pass"
 
@@ -136,7 +135,8 @@ def _evaluate(claim: dict, n: int, actual) -> tuple[object, bool]:
 
 
 def build_report(family_id: str, n: int) -> VerificationReport:
-    """Compute all invariants of family member n and check the claim table.
+    """Invariants of family member n, by `_member` as for `info`, checked
+    against the claim table.
 
     A member above `MAX_INFO_VERTICES` raises UnsupportedFamily before its
     plumbing is built.
@@ -147,19 +147,14 @@ def build_report(family_id: str, n: int) -> VerificationReport:
             f"{family_id} n={n}: more than {MAX_INFO_VERTICES} plumbing vertices, "
             "the cap for family"
         )
-    graph = brieskorn_plumbing(triple)
-    inv = _seifert_checked_invariants(graph)
-    # not via wu.mubar_of, which raises on an unimodularity or definiteness
-    # failure; but with assertions on, the check above has already asserted
-    # both (e = -1/(a1*a2*a3) for every triple), so they fail only under -O
-    sig, w2, mu_value = characteristic_numbers(graph, inv)
+    _, graph, inv, mu = _member(triple)
     computed = {
         "vertex_count": graph.vertex_count,
         "determinant": inv.det,
         "negative_definite": inv.negative_definite,
-        "signature": sig,
-        "wu_square": w2,
-        "mubar": mu_value,
+        "signature": mu.signature,
+        "wu_square": mu.wu_square,
+        "mubar": mu.mubar,
     }
     checks = []
     for claim in load_claims()["families"][family_id]["claims"]:
@@ -170,23 +165,30 @@ def build_report(family_id: str, n: int) -> VerificationReport:
         checks.append(ClaimCheck(claim["name"], expected, actual, passed))
     return VerificationReport(
         family_id, n, triple.components, **computed,
-        obstructed=mu_value != 0, claims_checked=tuple(checks),
+        obstructed=mu.obstructed, claims_checked=tuple(checks),
     )
 
 
-def _seifert_checked_invariants(graph: PlumbingGraph) -> Invariants:
-    """`graph_invariants`, cross-checked against the Seifert side.
+def _member(t: BrieskornTriple):
+    """(Seifert data, plumbing, `graph_invariants` record, `mubar_of` result)
+    of a triple; S^3 has no Seifert data and the empty plumbing.
 
-    With e = b + sum beta_i/alpha_i, the star plumbing is negative definite
-    iff e < 0, and |det| = alpha_1*alpha_2*alpha_3*|e| (Neumann-Raymond 1978).
+    The record is cross-checked against the Seifert side: with
+    e = b + sum beta_i/alpha_i, the star plumbing is negative definite iff
+    e < 0, and |det| = alpha_1*alpha_2*alpha_3*|e| (Neumann-Raymond 1978).
     """
+    if t.is_degenerate:
+        s, graph = None, PlumbingGraph((), ())
+    else:
+        graph = brieskorn_plumbing(t)
+        _, s = graph.origin
     inv = graph_invariants(graph)
-    _, s = graph.origin
-    e = s.euler_number
-    (a1, _), (a2, _), (a3, _) = s.legs
-    assert inv.negative_definite == (e < 0), "definiteness disagrees with e"
-    assert abs(inv.det) == a1 * a2 * a3 * abs(e), "|det| disagrees with e"
-    return inv
+    if s is not None:
+        e = s.euler_number
+        (a1, _), (a2, _), (a3, _) = s.legs
+        assert inv.negative_definite == (e < 0), "definiteness disagrees with e"
+        assert abs(inv.det) == a1 * a2 * a3 * abs(e), "|det| disagrees with e"
+    return s, graph, inv, mubar_of(graph, inv)
 
 
 def family_sweep(family_id: str, n_from: int, n_to: int):
@@ -211,29 +213,11 @@ def triple_summary(t: BrieskornTriple, with_casson: bool) -> dict:
         raise UnsupportedFamily(
             f"{t} has more than {MAX_CASSON_POINTS} lattice points, the cap for --casson"
         )
-    if t.is_degenerate:
-        return {
-            "triple": list(t.components),
-            "degenerate": True,
-            "seifert": None,
-            "plumbing": {"weights": [], "edges": []},
-            "determinant": 1,
-            "signature": 0,
-            "negative_definite": True,
-            "wu_class": [],
-            "wu_square": 0,
-            "mubar": 0,
-            "obstructed": False,
-            "casson": 0,  # S^3; the empty lattice count costs nothing
-        }
-    graph = brieskorn_plumbing(t)
-    _, s = graph.origin
-    inv = _seifert_checked_invariants(graph)
-    mu = mubar_of(graph, inv)
+    s, graph, inv, mu = _member(t)
     return {
         "triple": list(t.components),
-        "degenerate": False,
-        "seifert": {"b": s.b, "legs": [list(leg) for leg in s.legs]},
+        "degenerate": t.is_degenerate,
+        "seifert": None if s is None else {"b": s.b, "legs": [list(leg) for leg in s.legs]},
         "plumbing": graph.to_json_obj(),
         "determinant": inv.det,
         "signature": mu.signature,
@@ -247,5 +231,6 @@ def triple_summary(t: BrieskornTriple, with_casson: bool) -> dict:
 
 
 def _is_cheap_casson(t: BrieskornTriple) -> bool:
-    """The Sigma(2,3,6n+1) shape, where the lattice count is trivially cheap."""
-    return t.p == 2 and t.q == 3 and t.r % 6 == 1
+    """S^3, whose lattice count is empty, or the Sigma(2,3,6n+1) shape, where
+    it is trivially cheap."""
+    return t.p == 1 or (t.p == 2 and t.q == 3 and t.r % 6 == 1)

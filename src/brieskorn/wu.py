@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import EvenDeterminant, NotNegativeDefinite, NotUnimodular, SingularMatrix
+from .errors import EvenDeterminant, NotNegativeDefinite, NotUnimodular
 from .plumbing import (
     IntMatrix,
     Invariants,
@@ -70,31 +70,22 @@ def wu_square(m: IntMatrix, w: WuClass) -> int:
     return total
 
 
-def characteristic_numbers(g: PlumbingGraph, inv: Invariants) -> tuple[int, int, int]:
-    """(signature, wu_square, mubar) of a plumbing from its invariant record.
+def mubar_of(g: PlumbingGraph, inv: Invariants) -> MubarResult:
+    """`mubar` for a plumbing whose invariant record is already at hand.
 
     wu_square is the weight sum over the Wu support plus 2 per edge inside
-    it.  Nothing here checks definiteness or unimodularity.
+    it; |det| = 1 makes the Wu class exist.
     """
-    if inv.n_zero:
-        raise SingularMatrix("matrix is singular")
-    if inv.wu is None:
-        raise EvenDeterminant("intersection form is singular over GF(2)")
+    if inv.det not in (1, -1):
+        raise NotUnimodular(f"|det| = {abs(inv.det)}")
+    if not inv.negative_definite:
+        raise NotNegativeDefinite("plumbing form is not negative definite")
     w = inv.wu
     sig = inv.n_plus - inv.n_minus
     w2 = sum(x for x, c in zip(g.weights, w) if c)
     w2 += 2 * sum(w[i] & w[j] for i, j in g.edges)
     assert (sig - w2) % 8 == 0, "van der Blij violated: implementation bug"
-    return sig, w2, (sig - w2) // 8
-
-
-def mubar_of(g: PlumbingGraph, inv: Invariants) -> MubarResult:
-    """`mubar` for a plumbing whose invariant record is already at hand."""
-    if inv.det not in (1, -1):
-        raise NotUnimodular(f"|det| = {abs(inv.det)}")
-    if not inv.negative_definite:
-        raise NotNegativeDefinite("plumbing form is not negative definite")
-    sig, w2, mu = characteristic_numbers(g, inv)
+    mu = (sig - w2) // 8
     return MubarResult(signature=sig, wu_square=w2, mubar=mu, obstructed=mu != 0)
 
 

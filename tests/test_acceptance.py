@@ -30,6 +30,7 @@ from brieskorn import (
     wu_square,
 )
 from brieskorn.kirby import FramedLink, IntMatrix
+from dense_oracle import _gf2_wu, _sylvester_inertia
 
 
 @contextlib.contextmanager
@@ -54,6 +55,8 @@ def test_criterion_1_thm1_invariant_sweep():
             for n in range(1, 101):
                 g = brieskorn_plumbing(fam.triple_of(n))
                 m = intersection_matrix(g)
+                assert _sylvester_inertia(m) == (0, g.vertex_count, 0), (fam_id, n)
+                assert _gf2_wu(m) == wu_class(m).coords, (fam_id, n)
                 assert g.vertex_count == n + 5
                 assert is_negative_definite(m)
                 assert abs(determinant(m)) == 1
@@ -73,6 +76,8 @@ def test_criterion_2_al_family_regression():
             for n in range(1, 100, 2):
                 g = brieskorn_plumbing(fam.triple_of(n))
                 m = intersection_matrix(g)
+                assert _sylvester_inertia(m) == (0, g.vertex_count, 0), (fam_id, n)
+                assert _gf2_wu(m) == wu_class(m).coords, (fam_id, n)
                 assert abs(determinant(m)) == 1 and is_negative_definite(m)
                 mu = (signature(m) - wu_square(m, wu_class(m))) // 8
                 assert mu != 0, (fam_id, n)
@@ -88,6 +93,8 @@ def test_criterion_3_thm2_consistency():
         for fam_id, n in members:
             g = brieskorn_plumbing(FAMILIES[fam_id].triple_of(n))
             m = intersection_matrix(g)
+            assert _sylvester_inertia(m) == (0, g.vertex_count, 0), (fam_id, n)
+            assert _gf2_wu(m) == wu_class(m).coords, (fam_id, n)
             assert abs(determinant(m)) == 1, (fam_id, n)
             assert is_negative_definite(m), (fam_id, n)
             mu = (signature(m) - wu_square(m, wu_class(m))) // 8

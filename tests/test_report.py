@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import brieskorn.report as report_mod
 from brieskorn import FAMILIES, brieskorn_plumbing, build_report, family_sweep
+from brieskorn.cli import main as cli_main
 from brieskorn.errors import UnknownFamily
 from brieskorn.plumbing import graph_invariants
 from brieskorn.report import (
@@ -142,7 +143,31 @@ class TestTripleSummary:
         obj = triple_summary(validate_triple(2, 3, 1), with_casson=False)
         assert obj["degenerate"] is True
         assert obj["mubar"] == 0
-        assert obj["casson"] == 0  # (2,3,6n+1) shape is auto-computed
+        assert obj["casson"] == 0  # Sigma(1,2,3) = S^3: the empty lattice count
+
+    @pytest.mark.parametrize("with_casson", [False, True])
+    @pytest.mark.parametrize("triple", [(1, 1, 1), (1, 2, 3), (1, 10**20, 10**30 + 1)])
+    def test_s3_takes_the_general_route(self, triple, with_casson, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(report_mod, "brieskorn_plumbing", lambda t: built.append(t))
+        obj = triple_summary(validate_triple(*triple), with_casson=with_casson)
+        assert obj == {
+            "triple": list(triple),
+            "degenerate": True,
+            "seifert": None,
+            "plumbing": {"weights": [], "edges": []},
+            "determinant": 1,
+            "signature": 0,
+            "negative_definite": True,
+            "wu_class": [],
+            "wu_square": 0,
+            "mubar": 0,
+            "obstructed": False,
+            "casson": 0,
+        }
+        assert cli_main(["info", *map(str, triple), *["--casson"] * with_casson]) == 0
+        assert capsys.readouterr().out.endswith("\ncasson: 0\n")
+        assert built == []
 
     def test_casson_auto_for_cheap_shape(self):
         obj = triple_summary(validate_triple(2, 3, 13), with_casson=False)
@@ -175,7 +200,7 @@ def coprime_triples(draw):
 def assert_euler_cross_check(triple):
     """Neumann-Raymond: negative definite iff e < 0, |det| = a1*a2*a3*|e|."""
     graph = brieskorn_plumbing(triple)
-    inv = report_mod._seifert_checked_invariants(graph)
+    _, _, inv, _ = report_mod._member(triple)
     assert inv == graph_invariants(graph)
     _, s = graph.origin
     e = s.euler_number
